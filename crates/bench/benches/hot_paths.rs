@@ -1,7 +1,9 @@
 //! Criterion micro-benchmarks for the optimized hot paths: FHMM exact
-//! factorial Viterbi, the ICM fallback, the fleet scenario engine, and
-//! the streaming ingestion layer (the kernels behind the
-//! `stream_throughput` experiment, including its `--metrics` mode).
+//! factorial Viterbi, the ICM fallback, the fleet scenario engine, the
+//! streaming ingestion layer (the kernels behind the
+//! `stream_throughput` experiment, including its `--metrics` mode), and
+//! the `fleetd` checkpoint bytes: the frame CRC, framing a checkpoint on
+//! eviction and validating it on rehydration.
 //!
 //! The FHMM cases reuse one trained model set and one simulated day of
 //! meter data so that run-to-run numbers compare the decode kernels, not
@@ -157,6 +159,32 @@ fn bench_hot_paths(c: &mut Criterion) {
         });
         iot_privacy::obs::disable();
         iot_privacy::obs::reset();
+    });
+
+    // fleetd's checkpoint bytes. A home with 200 closed windows (3000
+    // samples at the default 15-sample window) frames to ~8 KB, the
+    // size a long-lived home reaches in the `fleet-history` workload.
+    let crc_input: Vec<u8> = (0..64 * 1024).map(|i| (i * 31 % 251) as u8).collect();
+    c.bench_function("fleetd/crc32_64k", |b| {
+        b.iter(|| fleetd::store::crc32(&crc_input))
+    });
+
+    let detector = ThresholdDetector::default();
+    let history: Vec<f64> = (0..200 * detector.window)
+        .map(|i| 150.0 + ((i * 37) % 900) as f64)
+        .collect();
+    let mut home_stream = ThresholdStream::new(detector, day_spec);
+    home_stream.feed(&dense_samples(&history));
+    let cp = home_stream.compact_checkpoint();
+    assert_eq!(cp.closed.len(), 200);
+
+    c.bench_function("fleetd/frame_checkpoint_200_windows", |b| {
+        b.iter(|| fleetd::store::frame_checkpoint(42, 7, &cp))
+    });
+
+    let frame = fleetd::store::frame_checkpoint(42, 7, &cp);
+    c.bench_function("fleetd/validate_frame_200_windows", |b| {
+        b.iter(|| fleetd::store::validate_frame(&frame, 42, 7).expect("valid frame"))
     });
 }
 

@@ -2,8 +2,10 @@
 //!
 //! An evicted home is exactly one encoded
 //! [`stream::WindowCheckpoint`]: the fill automaton
-//! (one tagged scalar), the open-window samples, and one 48-byte record
-//! per closed window. The format is little-endian, versioned by a
+//! (one tagged scalar), the open-window samples, and one 40-byte
+//! [`Summary`] per closed window. Window `i` always starts at sample
+//! `i × window`, so neither the window starts nor the open window's
+//! start are stored. The format is little-endian, versioned by a
 //! 4-byte magic, and round-trips exactly (`decode(encode(cp)) == cp`,
 //! including NaN payloads bit-for-bit) — the property the eviction
 //! identity claim leans on.
@@ -11,19 +13,23 @@
 //! Layout (all integers little-endian):
 //!
 //! ```text
-//! magic   4 bytes  "FDC1"
+//! magic   4 bytes  "FDC2"
 //! fill    1 + 8    tag (0 passthrough, 1 zero, 2 hold-pending, 3 hold-last)
 //!                  + u64 count or f64 watts payload (zero if unused)
-//! next    8        u64 open-window start index
 //! open    4 + 8n   u32 count + f64 samples
-//! closed  4 + 48n  u32 count + (u64 start, f64 mean/variance/range/min/max)
+//! closed  4 + 40n  u32 count + f64 mean/variance/range/min/max
 //! ```
+//!
+//! The previous version, `"FDC1"`, also stored a u64 start per closed
+//! window and the open window's start. It is not decoded: an `FDC1`
+//! record fails with [`CodecError::BadMagic`], which the store reports
+//! as corrupt and the service's recovery policy then handles.
 
 use stream::{FillCheckpoint, WindowCheckpoint};
 use timeseries::Summary;
 
 /// First four bytes of every encoded checkpoint.
-pub const MAGIC: [u8; 4] = *b"FDC1";
+pub const MAGIC: [u8; 4] = *b"FDC2";
 
 /// Why a byte buffer failed to decode as a checkpoint.
 ///
@@ -101,7 +107,6 @@ impl std::error::Error for CodecError {}
 ///
 /// let cp = WindowCheckpoint {
 ///     fill: FillCheckpoint::Passthrough,
-///     next_start: 30,
 ///     open: vec![120.0, 350.5],
 ///     closed: Vec::new(),
 /// };
@@ -110,6 +115,14 @@ impl std::error::Error for CodecError {}
 /// ```
 pub fn encode(cp: &WindowCheckpoint) -> Vec<u8> {
     let mut out = Vec::with_capacity(encoded_len(cp));
+    encode_into(cp, &mut out);
+    out
+}
+
+/// Appends the encoding of `cp` to `out` — what [`encode`] returns,
+/// written in place (the store frames checkpoints this way, straight
+/// after the frame header).
+pub fn encode_into(cp: &WindowCheckpoint, out: &mut Vec<u8>) {
     out.extend_from_slice(&MAGIC);
     let (tag, payload): (u8, u64) = match cp.fill {
         FillCheckpoint::Passthrough => (0, 0),
@@ -119,25 +132,22 @@ pub fn encode(cp: &WindowCheckpoint) -> Vec<u8> {
     };
     out.push(tag);
     out.extend_from_slice(&payload.to_le_bytes());
-    out.extend_from_slice(&cp.next_start.to_le_bytes());
     out.extend_from_slice(&(cp.open.len() as u32).to_le_bytes());
     for &x in &cp.open {
         out.extend_from_slice(&x.to_le_bytes());
     }
     out.extend_from_slice(&(cp.closed.len() as u32).to_le_bytes());
-    for &(start, s) in &cp.closed {
-        out.extend_from_slice(&start.to_le_bytes());
+    for s in &cp.closed {
         for v in [s.mean, s.variance, s.range, s.min, s.max] {
             out.extend_from_slice(&v.to_le_bytes());
         }
     }
-    out
 }
 
 /// Exact byte length [`encode`] produces for `cp` — the cold-store cost
 /// of evicting this home.
 pub fn encoded_len(cp: &WindowCheckpoint) -> usize {
-    4 + 9 + 8 + 4 + 8 * cp.open.len() + 4 + 48 * cp.closed.len()
+    4 + 9 + 4 + 8 * cp.open.len() + 4 + 40 * cp.closed.len()
 }
 
 struct Reader<'a> {
@@ -202,31 +212,21 @@ pub fn decode(bytes: &[u8]) -> Result<WindowCheckpoint, CodecError> {
             })
         }
     };
-    let next_start = r.u64()?;
     let open_len = r.u32()? as usize;
     let mut open = Vec::with_capacity(open_len.min(bytes.len() / 8));
     for _ in 0..open_len {
         open.push(r.f64()?);
     }
     let closed_len = r.u32()? as usize;
-    let mut closed = Vec::with_capacity(closed_len.min(bytes.len() / 48));
+    let mut closed = Vec::with_capacity(closed_len.min(bytes.len() / 40));
     for _ in 0..closed_len {
-        let start = r.u64()?;
-        let mean = r.f64()?;
-        let variance = r.f64()?;
-        let range = r.f64()?;
-        let min = r.f64()?;
-        let max = r.f64()?;
-        closed.push((
-            start,
-            Summary {
-                mean,
-                variance,
-                range,
-                min,
-                max,
-            },
-        ));
+        closed.push(Summary {
+            mean: r.f64()?,
+            variance: r.f64()?,
+            range: r.f64()?,
+            min: r.f64()?,
+            max: r.f64()?,
+        });
     }
     if r.at != bytes.len() {
         return Err(CodecError::TrailingBytes {
@@ -234,12 +234,7 @@ pub fn decode(bytes: &[u8]) -> Result<WindowCheckpoint, CodecError> {
             trailing: bytes.len() - r.at,
         });
     }
-    Ok(WindowCheckpoint {
-        fill,
-        next_start,
-        open,
-        closed,
-    })
+    Ok(WindowCheckpoint { fill, open, closed })
 }
 
 #[cfg(test)]
@@ -249,29 +244,22 @@ mod tests {
     fn sample_checkpoint() -> WindowCheckpoint {
         WindowCheckpoint {
             fill: FillCheckpoint::HoldLast(432.5),
-            next_start: 45,
             open: vec![120.0, f64::NAN, 0.0, -1.5],
             closed: vec![
-                (
-                    0,
-                    Summary {
-                        mean: 1.0,
-                        variance: 2.0,
-                        range: 3.0,
-                        min: 4.0,
-                        max: 5.0,
-                    },
-                ),
-                (
-                    15,
-                    Summary {
-                        mean: -1.0,
-                        variance: 0.0,
-                        range: f64::INFINITY,
-                        min: f64::MIN,
-                        max: f64::MAX,
-                    },
-                ),
+                Summary {
+                    mean: 1.0,
+                    variance: 2.0,
+                    range: 3.0,
+                    min: 4.0,
+                    max: 5.0,
+                },
+                Summary {
+                    mean: -1.0,
+                    variance: 0.0,
+                    range: f64::INFINITY,
+                    min: f64::MIN,
+                    max: f64::MAX,
+                },
             ],
         }
     }
@@ -300,14 +288,13 @@ mod tests {
     }
 
     #[test]
-    fn empty_checkpoint_is_29_bytes() {
+    fn empty_checkpoint_is_21_bytes() {
         let cp = WindowCheckpoint {
             fill: FillCheckpoint::Zero,
-            next_start: 0,
             open: Vec::new(),
             closed: Vec::new(),
         };
-        assert_eq!(encode(&cp).len(), 29);
+        assert_eq!(encode(&cp).len(), 21);
     }
 
     #[test]
@@ -338,12 +325,11 @@ mod tests {
 
     #[test]
     fn huge_declared_lengths_do_not_preallocate() {
-        // A 4 GiB open-window count on a 30-byte buffer must fail fast
+        // A 4 GiB open-window count on a 17-byte buffer must fail fast
         // (Truncated), not try to reserve 32 GiB.
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&MAGIC);
         bytes.push(0);
-        bytes.extend_from_slice(&0u64.to_le_bytes());
         bytes.extend_from_slice(&0u64.to_le_bytes());
         bytes.extend_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(

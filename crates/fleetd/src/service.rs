@@ -18,15 +18,14 @@
 //! crashed service can be [`recover`](FleetService::recover)ed from
 //! disk and continue byte-identically to an uninterrupted run. Store
 //! defects surface as typed [`StoreError`]s: transient write failures
-//! are retried with bounded backoff (`fleet.store_retries`), and
+//! are retried with bounded backoff (`fleetd.store.retries`), and
 //! unrecoverable records are either replayed from re-admitted readings
-//! ([`RecoveryPolicy::Rebuild`], `fleet.store_rebuilds`) or excluded
+//! ([`RecoveryPolicy::Rebuild`], `fleetd.store.rebuilds`) or excluded
 //! with their error preserved ([`RecoveryPolicy::Quarantine`],
-//! `fleet.store_quarantined`) — the storage-side mirror of the PR 4
+//! `fleetd.store.quarantined`) — the storage-side mirror of the
 //! supervisor's panic quarantine. `docs/FLEET.md` documents the full
 //! lifecycle.
 
-use crate::codec;
 use crate::store::{
     self, shard_dir, CheckpointStore, DurableStore, FaultyStore, Manifest, MemoryStore, StoreError,
 };
@@ -322,7 +321,7 @@ impl Shard {
     }
 
     fn quarantine(&mut self, home: usize, err: StoreError) {
-        obs::counter_add("fleet.store_quarantined", 1);
+        obs::counter_add("fleetd.store.quarantined", 1);
         self.cold.remove(home);
         self.resident.remove(&home);
         self.rebuild.remove(&home);
@@ -345,7 +344,7 @@ impl Shard {
                 Err(e) if e.is_transient() && attempt < cfg.max_store_retries => {
                     attempt += 1;
                     *retries += 1;
-                    obs::counter_add("fleet.store_retries", 1);
+                    obs::counter_add("fleetd.store.retries", 1);
                     if cfg.retry_backoff_ms > 0 {
                         let shift = (attempt - 1).min(6);
                         std::thread::sleep(std::time::Duration::from_millis(
@@ -370,12 +369,15 @@ impl Shard {
         }
         if self.rebuild.remove(&home) {
             self.rebuilds += 1;
-            obs::counter_add("fleet.store_rebuilds", 1);
+            obs::counter_add("fleetd.store.rebuilds", 1);
             self.resident
                 .insert(home, Self::replay(home, round, cfg, gen));
             return true;
         }
-        let verdict = match self.cold.get(home) {
+        // Every branch below drops the stored record, so read it with
+        // `take`; the explicit removes on the error branches cover a
+        // failed `take`.
+        let verdict = match self.cold.take(home) {
             Ok(Some(bytes)) => store::validate_frame(&bytes, home, round).map(Some),
             // Rounds are sequential from 0 and every home is fed every
             // round, so a missing frame after round 0 is a lost record.
@@ -386,7 +388,6 @@ impl Shard {
         match verdict {
             Ok(Some(cp)) => {
                 self.rehydrations += 1;
-                self.cold.remove(home);
                 self.resident.insert(
                     home,
                     ThresholdStream::from_compact(cfg.detector.clone(), cfg.spec, &cp),
@@ -403,7 +404,7 @@ impl Shard {
             Err(err) => match cfg.recovery {
                 RecoveryPolicy::Rebuild => {
                     self.rebuilds += 1;
-                    obs::counter_add("fleet.store_rebuilds", 1);
+                    obs::counter_add("fleetd.store.rebuilds", 1);
                     self.cold.remove(home);
                     self.resident
                         .insert(home, Self::replay(home, round, cfg, gen));
@@ -425,11 +426,8 @@ impl Shard {
         while self.resident.len() > cap {
             let (&home, _) = self.resident.iter().next().expect("len > cap >= 0");
             let stream = self.resident.remove(&home).expect("key just observed");
-            let frame = store::encode_frame(
-                home as u64,
-                write_gen,
-                &codec::encode(&stream.compact_checkpoint()),
-            );
+            let frame =
+                store::frame_checkpoint(home as u64, write_gen, &stream.compact_checkpoint());
             match Self::put_with_retry(
                 &mut self.cold,
                 &mut self.retries,
@@ -451,10 +449,10 @@ impl Shard {
     fn sync_resident(&mut self, write_gen: u64, cfg: &FleetdConfig) {
         let homes: Vec<usize> = self.resident.keys().copied().collect();
         for home in homes {
-            let frame = store::encode_frame(
+            let frame = store::frame_checkpoint(
                 home as u64,
                 write_gen,
-                &codec::encode(&self.resident[&home].compact_checkpoint()),
+                &self.resident[&home].compact_checkpoint(),
             );
             if let Err(err) = Self::put_with_retry(
                 &mut self.cold,
@@ -548,7 +546,7 @@ impl Shard {
                     self.resident.insert(home, stream);
                     self.rebuild.remove(&home);
                     self.rebuilds += 1;
-                    obs::counter_add("fleet.store_rebuilds", 1);
+                    obs::counter_add("fleetd.store.rebuilds", 1);
                     rebuilt += 1;
                 }
                 RecoveryPolicy::Quarantine => {

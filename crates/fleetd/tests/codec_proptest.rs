@@ -9,9 +9,8 @@ use timeseries::Summary;
 
 fn build_checkpoint(
     fill_sel: (u8, u64, f64),
-    next_start: u64,
     open: Vec<f64>,
-    closed_raw: Vec<(u64, (f64, f64, f64))>,
+    closed_raw: Vec<(f64, f64, f64)>,
 ) -> WindowCheckpoint {
     let (tag, n, w) = fill_sel;
     let fill = match tag % 4 {
@@ -22,39 +21,28 @@ fn build_checkpoint(
     };
     let closed = closed_raw
         .into_iter()
-        .map(|(start, (mean, variance, spread))| {
-            (
-                start,
-                Summary {
-                    mean,
-                    variance,
-                    range: spread.abs(),
-                    min: mean - spread.abs() / 2.0,
-                    max: mean + spread.abs() / 2.0,
-                },
-            )
+        .map(|(mean, variance, spread)| Summary {
+            mean,
+            variance,
+            range: spread.abs(),
+            min: mean - spread.abs() / 2.0,
+            max: mean + spread.abs() / 2.0,
         })
         .collect();
-    WindowCheckpoint {
-        fill,
-        next_start,
-        open,
-        closed,
-    }
+    WindowCheckpoint { fill, open, closed }
 }
 
 proptest! {
     #[test]
     fn encode_decode_round_trips(
         fill_sel in (0u8..4, 0u64..1_000, -5e3..5e3f64),
-        next_start in 0u64..1_000_000,
         open in proptest::collection::vec(-1e4..1e4f64, 0..32),
         closed_raw in proptest::collection::vec(
-            (0u64..1_000_000, (-1e4..1e4f64, 0.0..1e6f64, 0.0..1e4f64)),
+            (-1e4..1e4f64, 0.0..1e6f64, 0.0..1e4f64),
             0..64,
         ),
     ) {
-        let cp = build_checkpoint(fill_sel, next_start, open, closed_raw);
+        let cp = build_checkpoint(fill_sel, open, closed_raw);
         let bytes = codec::encode(&cp);
         prop_assert_eq!(bytes.len(), codec::encoded_len(&cp));
         let back = codec::decode(&bytes).unwrap();
@@ -66,14 +54,14 @@ proptest! {
         fill_sel in (0u8..4, 0u64..1_000, -5e3..5e3f64),
         open in proptest::collection::vec(-1e4..1e4f64, 0..16),
         closed_raw in proptest::collection::vec(
-            (0u64..1_000_000, (-1e4..1e4f64, 0.0..1e6f64, 0.0..1e4f64)),
+            (-1e4..1e4f64, 0.0..1e6f64, 0.0..1e4f64),
             0..8,
         ),
     ) {
         // Exhaustive, not sampled: a checkpoint cut at ANY prefix
         // length must decode to a clean error — no cut point may parse
         // as a different valid checkpoint, and none may panic.
-        let cp = build_checkpoint(fill_sel, 0, open, closed_raw);
+        let cp = build_checkpoint(fill_sel, open, closed_raw);
         let bytes = codec::encode(&cp);
         for cut in 0..bytes.len() {
             let err = codec::decode(&bytes[..cut]).expect_err("prefix must fail");
@@ -93,7 +81,7 @@ proptest! {
         at_frac in 0.0..1.0f64,
         flip in 1u8..=255,
     ) {
-        let cp = build_checkpoint(fill_sel, 7, open, Vec::new());
+        let cp = build_checkpoint(fill_sel, open, Vec::new());
         let mut bytes = codec::encode(&cp);
         let at = ((bytes.len() as f64) * at_frac) as usize % bytes.len();
         bytes[at] ^= flip;

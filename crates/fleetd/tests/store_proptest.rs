@@ -2,10 +2,14 @@
 //! encode/decode is a bijection, truncation at every prefix length
 //! errors cleanly, and — unlike the raw codec — ANY single-byte flip is
 //! detected by the CRC32 frame, never silently round-tripping to a
-//! different record.
+//! different record. Framing a checkpoint directly equals framing its
+//! encoded payload.
 
+use fleetd::codec;
 use fleetd::store::{self, FrameError, FRAME_OVERHEAD};
 use proptest::prelude::*;
+use stream::{FillCheckpoint, WindowCheckpoint};
+use timeseries::Summary;
 
 proptest! {
     #[test]
@@ -20,6 +24,38 @@ proptest! {
         prop_assert_eq!(frame.home, home);
         prop_assert_eq!(frame.generation, generation);
         prop_assert_eq!(frame.payload, payload);
+    }
+
+    #[test]
+    fn frame_checkpoint_equals_encode_frame(
+        home in 0u64..1_000_000,
+        generation in 0u64..1_000_000,
+        fill_sel in (0u8..4, 0u64..1_000, -5e3..5e3f64),
+        open in proptest::collection::vec(-1e4..1e4f64, 0..16),
+        closed_raw in proptest::collection::vec((-1e4..1e4f64, 0.0..1e6f64), 0..48),
+    ) {
+        let (tag, n, w) = fill_sel;
+        let fill = match tag {
+            0 => FillCheckpoint::Passthrough,
+            1 => FillCheckpoint::Zero,
+            2 => FillCheckpoint::HoldPending(n),
+            _ => FillCheckpoint::HoldLast(w),
+        };
+        let closed = closed_raw
+            .into_iter()
+            .map(|(mean, variance)| Summary {
+                mean,
+                variance,
+                range: variance.sqrt(),
+                min: mean - variance.sqrt(),
+                max: mean,
+            })
+            .collect();
+        let cp = WindowCheckpoint { fill, open, closed };
+        let bytes = store::frame_checkpoint(home, generation, &cp);
+        prop_assert_eq!(&bytes, &store::encode_frame(home, generation, &codec::encode(&cp)));
+        let back = store::validate_frame(&bytes, home as usize, generation).unwrap();
+        prop_assert_eq!(back, cp);
     }
 
     #[test]

@@ -1,6 +1,11 @@
 //! Shared ingestion plumbing for the power streams: gap-fill routing plus
 //! either a raw-sample buffer (buffer-and-replay pipelines) or an
 //! incremental window-summary accumulator (the NIOM detectors).
+//!
+//! The window accumulator closes window `i` at sample `i × window`, so it
+//! keeps each closed window as its 40-byte [`Summary`] alone and derives
+//! every start (and the open window's) from the closed-window count; its
+//! [`WindowCheckpoint`] has the same shape.
 
 use crate::chunk::{FillState, Sample, StreamFill};
 use crate::FeedReport;
@@ -32,8 +37,10 @@ pub enum FillCheckpoint {
 ///
 /// A [`crate::ThresholdStream`] (or Hmm/Logistic sibling) is detector
 /// configuration plus this: closed windows keep only their 40-byte
-/// [`Summary`], the open window keeps at most `window - 1` raw samples,
-/// and the fill automaton is one tagged scalar. Restoring via
+/// [`Summary`] (window `i` starts at sample `i × window`, so no start is
+/// stored), the open window keeps at most `window - 1` raw samples and
+/// starts at `closed.len() × window`, and the fill automaton is one
+/// tagged scalar. Restoring via
 /// `from_compact` resumes to byte-identical output — asserted by the
 /// streaming equivalence tests and the `fleet.resident-evict-identical`
 /// conformance claim.
@@ -41,12 +48,10 @@ pub enum FillCheckpoint {
 pub struct WindowCheckpoint {
     /// The fill automaton's position.
     pub fill: FillCheckpoint,
-    /// Sample index where the open window starts.
-    pub next_start: u64,
     /// Raw samples of the open (not yet full) window.
     pub open: Vec<f64>,
-    /// `(window start, summary)` of every closed window, in trace order.
-    pub closed: Vec<(u64, Summary)>,
+    /// Summary of every closed window, in trace order.
+    pub closed: Vec<Summary>,
 }
 
 impl FillState {
@@ -134,15 +139,15 @@ impl SampleBuf {
 
 /// Gap fill + incremental non-overlapping window summaries, replicating
 /// `WindowStats` over the resolved samples: closed windows keep only their
-/// [`Summary`], the open window keeps raw samples (at most `window` of
-/// them), and the trailing partial window is summarized on demand.
+/// [`Summary`] (closed window `i` starts at sample `i × window`), the
+/// open window keeps raw samples (at most `window` of them), and the
+/// trailing partial window is summarized on demand.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct WindowBuf {
     fill: FillState,
     window: usize,
     open: Vec<f64>,
-    next_start: usize,
-    closed: Vec<(usize, Summary)>,
+    closed: Vec<Summary>,
 }
 
 impl WindowBuf {
@@ -152,7 +157,6 @@ impl WindowBuf {
             fill: FillState::new(fill),
             window,
             open: Vec::with_capacity(window),
-            next_start: 0,
             closed: Vec::new(),
         }
     }
@@ -160,8 +164,7 @@ impl WindowBuf {
     fn push_resolved(&mut self, x: f64) {
         self.open.push(x);
         if self.open.len() == self.window {
-            self.closed.push((self.next_start, Summary::of(&self.open)));
-            self.next_start += self.window;
+            self.closed.push(Summary::of(&self.open));
             self.open.clear();
         }
     }
@@ -187,27 +190,22 @@ impl WindowBuf {
 
     /// Samples ingested, counting any withheld by an open leading-gap run.
     pub(crate) fn len(&self) -> usize {
-        self.next_start + self.open.len() + self.fill.flush().0
+        self.closed.len() * self.window + self.open.len() + self.fill.flush().0
     }
 
     /// Heap bytes held by the window accumulator (capacities, not
     /// lengths).
     pub(crate) fn heap_bytes(&self) -> usize {
         self.open.capacity() * std::mem::size_of::<f64>()
-            + self.closed.capacity() * std::mem::size_of::<(usize, Summary)>()
+            + self.closed.capacity() * std::mem::size_of::<Summary>()
     }
 
     /// Snapshots the mutable ingestion state as a [`WindowCheckpoint`].
     pub(crate) fn to_compact(&self) -> WindowCheckpoint {
         WindowCheckpoint {
             fill: self.fill.to_compact(),
-            next_start: self.next_start as u64,
             open: self.open.clone(),
-            closed: self
-                .closed
-                .iter()
-                .map(|&(start, s)| (start as u64, s))
-                .collect(),
+            closed: self.closed.clone(),
         }
     }
 
@@ -232,28 +230,31 @@ impl WindowBuf {
             fill: FillState::from_compact(cp.fill),
             window,
             open,
-            next_start: cp.next_start as usize,
-            closed: cp
-                .closed
-                .iter()
-                .map(|&(start, s)| (start as usize, s))
-                .collect(),
+            closed: cp.closed.clone(),
         }
     }
 
     /// The `(window start, summary)` sequence `WindowStats` would yield
     /// over the resolved prefix, plus that prefix's length.
     pub(crate) fn windows_and_len(&self) -> (Vec<(usize, Summary)>, usize) {
+        let w = self.window;
+        // An open leading-gap run resolves to `pending` pad values after
+        // the open window, as batch fill would if the trace ended now.
         let (pending, pad) = self.fill.flush();
-        let mut tail = self.clone();
-        for _ in 0..pending {
-            tail.push_resolved(pad);
+        let mut padded = Vec::new();
+        let tail: &[f64] = if pending == 0 {
+            &self.open
+        } else {
+            padded.extend_from_slice(&self.open);
+            padded.extend(std::iter::repeat_n(pad, pending));
+            &padded
+        };
+        let mut windows = Vec::with_capacity(self.closed.len() + tail.len().div_ceil(w));
+        windows.extend(self.closed.iter().enumerate().map(|(i, &s)| (i * w, s)));
+        for part in tail.chunks(w) {
+            windows.push((windows.len() * w, Summary::of(part)));
         }
-        let mut windows = tail.closed;
-        if !tail.open.is_empty() {
-            windows.push((tail.next_start, Summary::of(&tail.open)));
-        }
-        (windows, tail.next_start + tail.open.len())
+        (windows, self.closed.len() * w + tail.len())
     }
 }
 
@@ -277,7 +278,29 @@ mod tests {
             let (windows, n) = buf.windows_and_len();
             assert_eq!(n, len);
             assert_eq!(windows, batch, "len {len}");
+            // The starts are derived, not stored: a restored buffer must
+            // still place every window where `WindowStats` does.
+            let restored = WindowBuf::from_compact(15, &buf.to_compact());
+            assert_eq!(
+                restored.windows_and_len(),
+                (batch, len),
+                "restored len {len}"
+            );
         }
+    }
+
+    #[test]
+    fn pending_gap_run_flushes_into_windows() {
+        // 9 leading gaps under Hold, window 4: two full pad windows and a
+        // one-sample tail, exactly what batch fill of an all-gap trace
+        // gives.
+        let mut buf = WindowBuf::new(Some(StreamFill::Hold), 4);
+        buf.feed(&[Sample::gap(); 9]);
+        let (windows, n) = buf.windows_and_len();
+        assert_eq!(n, 9);
+        let starts: Vec<usize> = windows.iter().map(|&(start, _)| start).collect();
+        assert_eq!(starts, vec![0, 4, 8]);
+        assert!(windows.iter().all(|&(_, s)| s == Summary::of(&[0.0])));
     }
 
     #[test]
@@ -328,7 +351,6 @@ mod tests {
     fn overfull_open_window_is_rejected() {
         let cp = WindowCheckpoint {
             fill: FillCheckpoint::Passthrough,
-            next_start: 0,
             open: vec![1.0, 2.0, 3.0],
             closed: Vec::new(),
         };
