@@ -51,11 +51,10 @@ fn bench_hot_paths(c: &mut Criterion) {
         b.iter(|| fhmm.disaggregate(&day))
     });
 
-    // Multi-home batched decode kernels vs a loop of single-home decodes
-    // over the SAME meters and model (4 devices, 16 joint states — the
-    // stream_throughput decode-section shape). The shared arena outside
-    // b.iter is the intended production lifecycle: one warm allocation
-    // serving every batch.
+    // Home-by-home decode of many meters through one model (4 devices,
+    // 16 joint states — the stream_throughput decode-section shape). The
+    // shared arena outside b.iter is the intended production lifecycle:
+    // one warm allocation serving every home.
     let kernel_models: Vec<_> = models.iter().take(4).cloned().collect();
     let f64_kernel = Fhmm::new(kernel_models.clone());
     let f32_kernel = Fhmm::with_config(
@@ -69,26 +68,16 @@ fn bench_hot_paths(c: &mut Criterion) {
         .map(|i| day.map(|w| w + (i % 13) as f64 * 3.5))
         .collect();
 
-    for &lanes in &[8usize, 32, 128] {
-        let refs: Vec<&PowerTrace> = kernel_meters[..lanes].iter().collect();
+    for &homes in &[8usize, 32, 128] {
+        let refs: Vec<&PowerTrace> = kernel_meters[..homes].iter().collect();
 
-        c.bench_function(&format!("fhmm/decode_{lanes}_homes_single_f64"), |b| {
+        c.bench_function(&format!("fhmm/decode_{homes}_homes_single_f64"), |b| {
             let mut arena = DecodeArena::new();
             b.iter(|| {
                 refs.iter()
                     .map(|m| f64_kernel.decode(m, &mut arena))
                     .collect::<Vec<_>>()
             })
-        });
-
-        c.bench_function(&format!("fhmm/decode_{lanes}_homes_batched_f64"), |b| {
-            let mut arena = DecodeArena::new();
-            b.iter(|| f64_kernel.decode_batch(&refs, &mut arena))
-        });
-
-        c.bench_function(&format!("fhmm/decode_{lanes}_homes_batched_f32"), |b| {
-            let mut arena = DecodeArena::new();
-            b.iter(|| f32_kernel.decode_batch(&refs, &mut arena))
         });
     }
 

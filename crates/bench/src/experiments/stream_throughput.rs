@@ -1,4 +1,4 @@
-//! Streaming-fleet throughput and batched-decode kernel throughput.
+//! Streaming-fleet throughput and FHMM decode throughput.
 //!
 //! Two sections, one artifact:
 //!
@@ -14,11 +14,10 @@
 //! output (the `stream` crate's batch-equivalence contract).
 //!
 //! **FHMM decode** — the disaggregation hot path in isolation: one
-//! 16-joint-state FHMM decoding 128 independent 1-day meters, single-home
-//! kernel vs the multi-home batched kernel at B ∈ {8, 32, 128}, in both
-//! `f64` and the opt-in `f32` score path. Batched `f64` paths are asserted
-//! byte-identical to the single-home decoder; `f32` reports its per-sample
-//! state disagreement against `f64` (pinned by the `accuracy.*` claims).
+//! 16-joint-state FHMM decoding 128 independent 1-day meters home by home,
+//! in both `f64` and the opt-in `f32` score path; `f32` reports its
+//! per-sample state disagreement against `f64` (pinned by the
+//! `accuracy.*` claims).
 //!
 //! With the [`obs`] layer enabled (the binary's `--metrics <path>` flag)
 //! the JSON additionally records the `stream.chunks` / `stream.samples`
@@ -50,10 +49,8 @@ const CHUNK_LENS: [usize; 3] = [60, 240, 1_440];
 /// Timed regions are run this many times and the median kept, so a single
 /// scheduler hiccup cannot sink a small cell's speedup.
 const TIMING_REPS: usize = 3;
-/// Meters decoded in the FHMM kernel section (= the largest batch size).
+/// Meters decoded in the FHMM decode section.
 const DECODE_HOMES: usize = 128;
-/// Batch sizes swept through the multi-home decode kernel.
-const DECODE_BATCHES: [usize; 3] = [8, 32, 128];
 
 /// Times `f` [`TIMING_REPS`] times and returns the median seconds.
 fn median_seconds(mut f: impl FnMut()) -> f64 {
@@ -170,10 +167,7 @@ pub fn run(cfg: &RunConfig) -> Report {
              16 joint states"
         ),
     );
-    report.note(
-        "\nBatched f64 decode verified byte-identical to the single-home kernel at every \
-         batch size ✓ (f32 is opt-in and reports its state disagreement vs f64)",
-    );
+    report.note("\nf32 is opt-in and reports its state disagreement vs f64");
 
     report.json = serde_json::json!({
         "experiment": "stream_throughput",
@@ -228,8 +222,7 @@ fn decode_meter(seed: u64, index: usize, len: usize) -> PowerTrace {
     clean.map(|w| (w + normal(&mut rng, 0.0, 25.0)).max(0.0))
 }
 
-/// The FHMM decode section: single-home kernel vs the batched kernel at
-/// each batch size, in `f64` and `f32`.
+/// The FHMM decode section: home-by-home decode in `f64` and `f32`.
 fn decode_section(root_seed: u64) -> (serde_json::Value, ThroughputTable) {
     let meters: Vec<PowerTrace> = (0..DECODE_HOMES)
         .map(|i| {
@@ -292,43 +285,6 @@ fn decode_section(root_seed: u64) -> (serde_json::Value, ThroughputTable) {
             "decode_seconds": s,
             "samples_per_sec": single_per_sec[pi],
         }));
-    }
-
-    for batch in DECODE_BATCHES {
-        for (model, label, reference) in [
-            (&f64_model, "f64", &single_paths),
-            (&f32_model, "f32", &single32_paths),
-        ] {
-            let mut paths = Vec::new();
-            let s = median_seconds(|| {
-                paths = refs
-                    .chunks(batch)
-                    .flat_map(|shard| model.decode_batch(shard, &mut arena))
-                    .collect();
-            });
-            let matches_single = paths == *reference;
-            assert!(
-                matches_single,
-                "batched {label} decode (B={batch}) must match the single-home kernel"
-            );
-            let per_sec = samples as f64 / s;
-            let speedup = per_sec / single_per_sec[0];
-            table.row(&[
-                Cell::Text(format!("batched B={batch}")),
-                Cell::Text(label.into()),
-                Cell::Rate(per_sec),
-                Cell::Speedup(speedup),
-            ]);
-            entries.push(serde_json::json!({
-                "kernel": "batched",
-                "batch": batch,
-                "precision": label,
-                "decode_seconds": s,
-                "samples_per_sec": per_sec,
-                "vs_single_f64_speedup": speedup,
-                "matches_single": matches_single,
-            }));
-        }
     }
 
     let decode_json = serde_json::json!({

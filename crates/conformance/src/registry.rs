@@ -421,7 +421,7 @@ fn stream_metric_delta_max(v: &Value) -> Result<f64, String> {
 }
 
 fn stream_precision_safe(v: &Value) -> Result<f64, String> {
-    nested_flags_all(v, "precision", &["f32_defaults_off", "f32_batch_equal"])
+    nested_flags_all(v, "precision", &["f32_defaults_off", "f32_stream_equal"])
 }
 
 fn stream_f32_disagreement(v: &Value) -> Result<f64, String> {
@@ -442,35 +442,6 @@ fn decode_section(v: &Value) -> Result<&Value, String> {
 
 fn decode_throughput_max(v: &Value) -> Result<f64, String> {
     max_over(decode_section(v)?, "kernels", |k| num(k, "samples_per_sec"))
-}
-
-fn decode_batched_speedup_max(v: &Value) -> Result<f64, String> {
-    let mut best = f64::NEG_INFINITY;
-    for kernel in items(decode_section(v)?, "kernels")? {
-        if let Some(speedup) = kernel.get("vs_single_f64_speedup").and_then(Value::as_f64) {
-            best = best.max(speedup);
-        }
-    }
-    if best.is_finite() {
-        Ok(best)
-    } else {
-        Err("no batched kernel entries with a speedup".to_string())
-    }
-}
-
-fn decode_batched_identical(v: &Value) -> Result<f64, String> {
-    let mut all_match = 1.0;
-    let mut seen = 0;
-    for kernel in items(decode_section(v)?, "kernels")? {
-        if kernel.get("matches_single").is_some() {
-            all_match = f64::min(all_match, flag(kernel, "matches_single")?);
-            seen += 1;
-        }
-    }
-    if seen == 0 {
-        return Err("no batched kernel entries with `matches_single`".to_string());
-    }
-    Ok(all_match)
 }
 
 fn resident_section(v: &Value) -> Result<&Value, String> {
@@ -977,11 +948,11 @@ pub fn all() -> &'static [Claim] {
             extract: stream_metric_delta_max,
             cheap: true,
         },
-        // -- Batched decode kernels: precision policy --------------------
+        // -- FHMM decode: precision policy --------------------------------
         Claim {
             id: "accuracy.f32-safe-defaults",
             anchor: "roadmap (streaming)",
-            title: "The f32 score path is opt-in (off by default) and batch-consistent",
+            title: "The f32 score path is opt-in (off by default) and streams like its single decode",
             experiment: "stream_equivalence",
             band: Band::Absolute { lo: 1.0, hi: 1.0 },
             extract: stream_precision_safe,
@@ -996,7 +967,7 @@ pub fn all() -> &'static [Claim] {
             extract: stream_f32_disagreement,
             cheap: true,
         },
-        // -- Batched decode kernels: throughput (wall-clock) -------------
+        // -- Streaming and decode throughput (wall-clock) -----------------
         Claim {
             id: "stream.chunked-not-slower",
             anchor: "roadmap (streaming throughput)",
@@ -1013,24 +984,6 @@ pub fn all() -> &'static [Claim] {
             experiment: "stream_throughput",
             band: Band::AtLeast { lo: 1_600_000.0 },
             extract: decode_throughput_max,
-            cheap: false,
-        },
-        Claim {
-            id: "perf.fhmm-batched-not-slower",
-            anchor: "roadmap (streaming throughput)",
-            title: "Some batched decode configuration beats the single-home f64 kernel",
-            experiment: "stream_throughput",
-            band: Band::AtLeast { lo: 1.0 },
-            extract: decode_batched_speedup_max,
-            cheap: false,
-        },
-        Claim {
-            id: "perf.decode-batch-identical",
-            anchor: "roadmap (streaming throughput)",
-            title: "Batched decode output is byte-identical to single-home decode at every B",
-            experiment: "stream_throughput",
-            band: Band::Absolute { lo: 1.0, hi: 1.0 },
-            extract: decode_batched_identical,
             cheap: false,
         },
         // -- Resident fleet service (docs/FLEET.md) ----------------------

@@ -28,13 +28,11 @@
 
 use crate::scenario::{EnergyScenario, ScenarioReport};
 use crate::streaming::StreamingScenario;
-use nilm::{DecodeArena, DeviceEstimate, Fhmm};
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Once;
 use timeseries::rng::derive_seed;
-use timeseries::PowerTrace;
 
 /// Errors from fleet execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -550,45 +548,6 @@ where
     supervised_engine_serial(homes, root_seed, config, run_attempt)
 }
 
-/// Disaggregates a fleet of meters through the batched FHMM decode
-/// kernel, `batch` homes per shard.
-///
-/// Shards are decoded concurrently with [`par_map`]; each shard reuses one
-/// [`DecodeArena`] across its lanes, so scratch allocation is per-shard,
-/// not per-home. Estimates come back in meter order. Because the batched
-/// kernel is byte-identical to the single-home decoder (see
-/// `docs/KERNELS.md`), the result does not depend on `batch`, the shard
-/// schedule, or the thread count — only wall-clock time does.
-///
-/// # Panics
-///
-/// Panics if `batch` is zero.
-pub fn run_fleet_decode(
-    fhmm: &Fhmm,
-    meters: &[&PowerTrace],
-    batch: usize,
-) -> Vec<Vec<DeviceEstimate>> {
-    assert!(batch > 0, "batch must be positive");
-    let _span = obs::span("fleet.decode");
-    obs::counter_add("fleet.homes", meters.len() as u64);
-    let shards: Vec<Vec<&PowerTrace>> = meters.chunks(batch).map(<[_]>::to_vec).collect();
-    let out = par_map(shards, |shard| {
-        let mut arena = DecodeArena::new();
-        fhmm.disaggregate_batch(&shard, &mut arena)
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-    // Parallel shards race on the `decode.batch_size` gauge (the ragged
-    // last shard may or may not write last); gauges live in the
-    // deterministic metrics section, so re-pin it to the configured
-    // shard size after the engine drains.
-    if !meters.is_empty() {
-        obs::gauge_set("decode.batch_size", batch.min(meters.len()) as f64);
-    }
-    out
-}
-
 /// Runs `homes` [`StreamingScenario`]s concurrently under the supervisor.
 ///
 /// The streaming analogue of [`run_fleet_supervised`]: each home's meter
@@ -870,33 +829,6 @@ mod tests {
         })
         .unwrap();
         assert_eq!(serial, built);
-    }
-
-    #[test]
-    fn fleet_decode_is_batch_invariant() {
-        use homesim::{Home, HomeConfig};
-        let homes: Vec<Home> = (0..5)
-            .map(|i| Home::simulate(&HomeConfig::new(home_seed(37, i)).days(1)))
-            .collect();
-        let meters: Vec<&timeseries::PowerTrace> = homes.iter().map(|h| &h.meter).collect();
-        let models: Vec<nilm::DeviceHmm> = homes[0]
-            .devices
-            .iter()
-            .take(3)
-            .map(|d| nilm::train_device_hmm(d.name.clone(), &d.trace, 2))
-            .collect();
-        let fhmm = nilm::Fhmm::new(models);
-        let reference: Vec<Vec<nilm::DeviceEstimate>> = meters
-            .iter()
-            .map(|m| nilm::with_thread_arena(|arena| fhmm.disaggregate_with(m, arena)))
-            .collect();
-        for batch in [1, 2, 5, 8] {
-            assert_eq!(
-                run_fleet_decode(&fhmm, &meters, batch),
-                reference,
-                "batch {batch}"
-            );
-        }
     }
 
     #[test]

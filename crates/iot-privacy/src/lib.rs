@@ -69,7 +69,7 @@ pub mod scenario;
 pub mod streaming;
 
 pub use fleet::{
-    run_fleet, run_fleet_decode, run_fleet_serial, run_fleet_streaming, run_fleet_streaming_serial,
+    run_fleet, run_fleet_serial, run_fleet_streaming, run_fleet_streaming_serial,
     run_fleet_supervised, run_fleet_supervised_serial, run_fleet_supervised_with,
     run_fleet_supervised_with_serial, FleetError, FleetResult, FleetSummary, HomeAttempt,
     QuarantinedHome, StatSummary, SupervisedFleetResult, SupervisorConfig,

@@ -8,11 +8,10 @@
 //! `RAYON_NUM_THREADS` is process-global, and the harness runs separate
 //! `#[test]`s concurrently.
 
-use homesim::{Home, HomeConfig};
 use iot_privacy::scenario::EnergyScenario;
 use iot_privacy::{
-    obs, run_fleet, run_fleet_decode, run_fleet_serial, run_fleet_supervised,
-    run_fleet_supervised_serial, HomeAttempt, SupervisorConfig,
+    obs, run_fleet, run_fleet_serial, run_fleet_supervised, run_fleet_supervised_serial,
+    HomeAttempt, SupervisorConfig,
 };
 
 fn build(seed: u64) -> EnergyScenario {
@@ -49,26 +48,6 @@ fn parallel_fleet_is_byte_identical_to_serial_at_any_thread_count() {
         "sanity: metrics recorded"
     );
 
-    // Batched-decode reference: the multi-home FHMM kernels must be
-    // byte-identical to the per-meter serial decode regardless of thread
-    // count or shard size (each shard decodes as one SoA batch, so this
-    // also covers the ragged last shard: 6 homes at batch 32).
-    let homes: Vec<Home> = (0..6)
-        .map(|i| Home::simulate(&HomeConfig::new(9_000 + i as u64).days(1)))
-        .collect();
-    let meters: Vec<&timeseries::PowerTrace> = homes.iter().map(|h| &h.meter).collect();
-    let models: Vec<nilm::DeviceHmm> = homes[0]
-        .devices
-        .iter()
-        .take(3)
-        .map(|d| nilm::train_device_hmm(d.name.clone(), &d.trace, 2))
-        .collect();
-    let fhmm = nilm::Fhmm::new(models);
-    let decode_reference: Vec<Vec<nilm::DeviceEstimate>> = meters
-        .iter()
-        .map(|m| nilm::with_thread_arena(|arena| fhmm.disaggregate_with(m, arena)))
-        .collect();
-
     // Supervised reference: 10 % injected per-home panics, quarantine
     // ledger included in the serialized bytes.
     let cfg = SupervisorConfig::default();
@@ -99,15 +78,6 @@ fn parallel_fleet_is_byte_identical_to_serial_at_any_thread_count() {
             "deterministic metrics section must match the serial reference \
              at RAYON_NUM_THREADS={threads}"
         );
-
-        for batch in [1, 32] {
-            assert_eq!(
-                run_fleet_decode(&fhmm, &meters, batch),
-                decode_reference,
-                "batched decode must be byte-identical to the serial \
-                 per-meter decode at RAYON_NUM_THREADS={threads}, batch={batch}"
-            );
-        }
 
         let supervised = run_fleet_supervised(SUPERVISED_HOMES, ROOT, cfg, faulty_build).unwrap();
         let quarantined: Vec<usize> = supervised.quarantined.iter().map(|q| q.home).collect();

@@ -10,31 +10,28 @@
 //!   residual left by the other devices' current estimates, swept until
 //!   convergence — the standard approximation for large device sets.
 //!
-//! Hot-path layout: both decoders work on flat score tables — joint
-//! emission means, joint log-transitions stored *transposed* (`[to*k+from]`)
-//! so the max-over-predecessors inner loop reads contiguous memory — with
-//! two swapped scratch rows instead of per-step allocation, and `u32`
-//! backpointers at half the memory traffic of `usize`. The joint tables
-//! depend only on the models, so they are built once per [`Fhmm`] and
-//! shared by every subsequent decode (e.g. per-day slices in the figure
-//! binaries).
+//! Hot-path layout (see `docs/KERNELS.md`): both decoders run one Viterbi
+//! step over flat tables — emission means, initial log-probs, and
+//! log-transitions stored *from-major* (`log_a[from * k + to]`), so one
+//! predecessor's transitions to every target are a contiguous row. The
+//! step walks predecessors in ascending order and folds each into
+//! per-target `best`/`arg` lanes with branch-free selects; it is compiled
+//! for AVX-512F and AVX2 and picked once per [`Fhmm`] by runtime CPU
+//! detection, with the per-target scalar scan as the portable fallback
+//! and the test oracle. Every variant returns bit-identical scores and
+//! backpointers. Two swapped scratch rows replace per-step allocation,
+//! and backpointers are `u32`. The joint tables depend only on the
+//! models, so they are built once per [`Fhmm`] and shared by every
+//! subsequent decode.
 //!
-//! Three performance layers sit on top of that base (see `docs/KERNELS.md`
-//! for layout diagrams and the batching contract):
+//! Two knobs sit on top of that base:
 //!
-//! * **Multi-home batched kernels** ([`Fhmm::decode_batch`],
-//!   [`Fhmm::disaggregate_batch`], [`FhmmBatchFilter`]): B equal-length
-//!   meters run through one Viterbi/ICM pass in a transposed
-//!   structure-of-arrays layout (`scores[state * B + home]`) whose inner
-//!   recurrence is a contiguous, branch-predictable loop over homes the
-//!   compiler can vectorize. Per-lane results are byte-identical to the
-//!   single-home decode of the same trace.
 //! * **Opt-in `f32` scores** ([`DecodePrecision`] on [`FhmmConfig`]): all
 //!   Viterbi/ICM score arithmetic in single precision (tables converted
 //!   once, cached per model), halving score-row memory traffic and
 //!   doubling SIMD width. Off by default; the accuracy cost is pinned by
 //!   `accuracy.*` conformance claims.
-//! * **Scratch-arena reuse** ([`DecodeArena`]): the delta rows,
+//! * **Scratch-arena reuse** ([`DecodeArena`]): the score rows,
 //!   backpointer table, and ICM residual buffers live in a caller-owned
 //!   (or thread-local, for [`Disaggregator::disaggregate`]) arena so
 //!   per-decode allocations are reused across chunks, homes, and sweeps.
@@ -43,7 +40,6 @@ use crate::estimate::{DeviceEstimate, Disaggregator};
 use crate::train::DeviceHmm;
 use std::cell::RefCell;
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
 use std::sync::OnceLock;
 use timeseries::{PowerTrace, Resolution, Timestamp};
 
@@ -87,26 +83,25 @@ impl Default for FhmmConfig {
     }
 }
 
-/// Reusable decode scratch: delta rows, the backpointer table, the batch
-/// observation column, and the ICM residual/explained buffers.
+/// Reusable decode scratch: score rows, the backpointer table, and the
+/// ICM residual/explained buffers.
 ///
-/// Kernels size the buffers on entry (never shrink capacity), so one arena
-/// serves decodes of any batch size, state count, and trace length — reuse
+/// Decoders size the buffers on entry (never shrink capacity), so one
+/// arena serves decodes of any state count and trace length — reuse
 /// across chunks and homes is what removes the per-chunk allocation
 /// overhead behind the streaming regression. [`Disaggregator::disaggregate`]
-/// uses a thread-local arena ([`with_thread_arena`]); batch entry points
-/// take `&mut DecodeArena` so fleet shards can own one arena per worker.
+/// uses a thread-local arena ([`with_thread_arena`]); [`Fhmm::decode`] and
+/// [`Fhmm::disaggregate_with`] take `&mut DecodeArena` so callers can own
+/// one arena per worker.
 ///
-/// When a kernel finds the arena's backpointer capacity already sufficient
-/// it bumps the `decode.arena_reuse` obs counter.
+/// When a decode finds the arena's backpointer capacity already sufficient
+/// it bumps the `nilm.decode.arena_reuse` obs counter.
 #[derive(Debug, Default)]
 pub struct DecodeArena {
     delta: Vec<f64>,
     next: Vec<f64>,
-    col: Vec<f64>,
     delta32: Vec<f32>,
     next32: Vec<f32>,
-    col32: Vec<f32>,
     back: Vec<u32>,
     residual: Vec<f64>,
     explained: Vec<f64>,
@@ -136,11 +131,11 @@ pub fn with_thread_arena<R>(f: impl FnOnce(&mut DecodeArena) -> R) -> R {
 /// backpointer table) is already resident from an earlier decode.
 fn note_arena_use(back: &Vec<u32>, needed: usize) {
     if back.capacity() >= needed && needed > 0 {
-        obs::counter_add("decode.arena_reuse", 1);
+        obs::counter_add("nilm.decode.arena_reuse", 1);
     }
 }
 
-/// Score arithmetic the kernels are generic over: `f64` (default,
+/// Score arithmetic the decoders are generic over: `f64` (default,
 /// bit-compatible with the original decoder) or `f32` (opt-in fast path).
 /// Each width knows where its cached tables and arena rows live.
 trait Score:
@@ -158,8 +153,8 @@ trait Score:
     const NEG_INF: Self;
     fn from_f64(v: f64) -> Self;
     fn total_cmp(&self, other: &Self) -> Ordering;
-    fn joint_view(fhmm: &Fhmm) -> TablesView<'_, Self>;
-    fn chain_view(fhmm: &Fhmm, d: usize) -> TablesView<'_, Self>;
+    fn joint(fhmm: &Fhmm) -> &Tables<Self>;
+    fn chain(fhmm: &Fhmm, d: usize) -> &Tables<Self>;
     fn scratch(arena: &mut DecodeArena) -> Scratch<'_, Self>;
 }
 
@@ -171,17 +166,16 @@ impl Score for f64 {
     fn total_cmp(&self, other: &Self) -> Ordering {
         f64::total_cmp(self, other)
     }
-    fn joint_view(fhmm: &Fhmm) -> TablesView<'_, f64> {
-        fhmm.joint_tables().view()
+    fn joint(fhmm: &Fhmm) -> &Tables<f64> {
+        &fhmm.joint().tables
     }
-    fn chain_view(fhmm: &Fhmm, d: usize) -> TablesView<'_, f64> {
-        fhmm.chains[d].view()
+    fn chain(fhmm: &Fhmm, d: usize) -> &Tables<f64> {
+        &fhmm.chains[d]
     }
     fn scratch(arena: &mut DecodeArena) -> Scratch<'_, f64> {
         Scratch {
             delta: &mut arena.delta,
             next: &mut arena.next,
-            col: &mut arena.col,
             back: &mut arena.back,
         }
     }
@@ -195,128 +189,87 @@ impl Score for f32 {
     fn total_cmp(&self, other: &Self) -> Ordering {
         f32::total_cmp(self, other)
     }
-    fn joint_view(fhmm: &Fhmm) -> TablesView<'_, f32> {
-        fhmm.joint_tables32().view()
+    fn joint(fhmm: &Fhmm) -> &Tables<f32> {
+        fhmm.joint32.get_or_init(|| fhmm.joint().tables.demote())
     }
-    fn chain_view(fhmm: &Fhmm, d: usize) -> TablesView<'_, f32> {
-        fhmm.chains32()[d].view()
+    fn chain(fhmm: &Fhmm, d: usize) -> &Tables<f32> {
+        &fhmm
+            .chains32
+            .get_or_init(|| fhmm.chains.iter().map(Tables::demote).collect())[d]
     }
     fn scratch(arena: &mut DecodeArena) -> Scratch<'_, f32> {
         Scratch {
             delta: &mut arena.delta32,
             next: &mut arena.next32,
-            col: &mut arena.col32,
             back: &mut arena.back,
         }
     }
 }
 
-/// The arena rows one decode borrows: two swapped score rows, the batch
-/// observation column, and the shared backpointer table.
+/// The arena rows one decode borrows: two swapped score rows and the
+/// shared backpointer table.
 struct Scratch<'a, T> {
     delta: &'a mut Vec<T>,
     next: &'a mut Vec<T>,
-    col: &'a mut Vec<T>,
     back: &'a mut Vec<u32>,
 }
 
-/// Borrowed flat Viterbi tables: `k` states with per-state emission means
-/// (`totals`), initial log-probs, and the transposed log-transition table
-/// `log_a_t[to * k + from]`. Both the joint space and a single device
-/// chain present this shape, so every kernel works on either.
-#[derive(Clone, Copy)]
-struct TablesView<'a, T> {
-    k: usize,
-    totals: &'a [T],
-    log_init: &'a [T],
-    log_a_t: &'a [T],
-}
-
-/// One device chain in hot-path layout: transposed flat transition table.
+/// Flat Viterbi tables over `k` states: per-state emission means
+/// (`totals`), initial log-probs, and the log-transition matrix stored
+/// from-major, `log_a[from * k + to]`, so predecessor `from`'s transitions
+/// to every target are one contiguous row. The joint product space and a
+/// single device chain both take this shape, so one step serves exact
+/// decoding and ICM.
 #[derive(Debug, Clone)]
-struct FlatChain<T> {
+struct Tables<T> {
     k: usize,
-    watts: Vec<T>,
-    log_init: Vec<T>,
-    /// `log_trans_t[to * k + from]` — transposed so scanning predecessors
-    /// of one target state is a contiguous read.
-    log_trans_t: Vec<T>,
-}
-
-impl FlatChain<f64> {
-    fn from_hmm(dev: &DeviceHmm) -> Self {
-        let k = dev.n_states();
-        let mut log_trans_t = vec![0.0f64; k * k];
-        for (from, row) in dev.log_trans.iter().enumerate() {
-            for (to, &v) in row.iter().enumerate() {
-                log_trans_t[to * k + from] = v;
-            }
-        }
-        FlatChain {
-            k,
-            watts: dev.state_watts.clone(),
-            log_init: dev.log_init.clone(),
-            log_trans_t,
-        }
-    }
-
-    fn demote(&self) -> FlatChain<f32> {
-        FlatChain {
-            k: self.k,
-            watts: demote(&self.watts),
-            log_init: demote(&self.log_init),
-            log_trans_t: demote(&self.log_trans_t),
-        }
-    }
-}
-
-impl<T> FlatChain<T> {
-    fn view(&self) -> TablesView<'_, T> {
-        TablesView {
-            k: self.k,
-            totals: &self.watts,
-            log_init: &self.log_init,
-            log_a_t: &self.log_trans_t,
-        }
-    }
-}
-
-fn demote(v: &[f64]) -> Vec<f32> {
-    v.iter().map(|&x| x as f32).collect()
-}
-
-/// Joint-space tables for exact factorial Viterbi; model-dependent only,
-/// so built once per [`Fhmm`] and reused across decodes.
-#[derive(Debug, Clone)]
-struct JointTables<T> {
-    k: usize,
-    /// Per-joint-state emission mean (sum of device state watts).
     totals: Vec<T>,
     log_init: Vec<T>,
-    /// `log_a_t[to * k + from]` — transposed joint log-transition matrix.
-    log_a_t: Vec<T>,
+    log_a: Vec<T>,
 }
 
-impl<T> JointTables<T> {
-    fn view(&self) -> TablesView<'_, T> {
-        TablesView {
-            k: self.k,
-            totals: &self.totals,
-            log_init: &self.log_init,
-            log_a_t: &self.log_a_t,
+impl Tables<f64> {
+    fn from_hmm(dev: &DeviceHmm) -> Self {
+        Tables {
+            k: dev.n_states(),
+            totals: dev.state_watts.clone(),
+            log_init: dev.log_init.clone(),
+            log_a: dev.log_trans.concat(),
         }
     }
+
+    fn demote(&self) -> Tables<f32> {
+        let demote = |v: &[f64]| v.iter().map(|&x| x as f32).collect();
+        Tables {
+            k: self.k,
+            totals: demote(&self.totals),
+            log_init: demote(&self.log_init),
+            log_a: demote(&self.log_a),
+        }
+    }
+}
+
+/// The exact decoder's joint product space, built once per [`Fhmm`]: its
+/// flat tables plus the digit table that unpacks a joint state into
+/// per-device states.
+#[derive(Debug, Clone)]
+struct Joint {
+    tables: Tables<f64>,
+    /// `digits[j * devices + d]` is device `d`'s state in joint state `j`.
+    digits: Vec<usize>,
 }
 
 /// The factorial HMM over a set of learned device models.
 #[derive(Debug, Clone)]
 pub struct Fhmm {
     devices: Vec<DeviceHmm>,
-    chains: Vec<FlatChain<f64>>,
-    chains32: OnceLock<Vec<FlatChain<f32>>>,
+    chains: Vec<Tables<f64>>,
+    chains32: OnceLock<Vec<Tables<f32>>>,
     config: FhmmConfig,
-    joint: OnceLock<JointTables<f64>>,
-    joint32: OnceLock<JointTables<f32>>,
+    joint: OnceLock<Joint>,
+    joint32: OnceLock<Tables<f32>>,
+    /// The Viterbi step variant, chosen once for this CPU.
+    isa: Isa,
 }
 
 impl Fhmm {
@@ -340,7 +293,7 @@ impl Fhmm {
             config.noise_sd_watts.is_finite() && config.noise_sd_watts > 0.0,
             "noise std-dev must be positive"
         );
-        let chains = devices.iter().map(FlatChain::from_hmm).collect();
+        let chains = devices.iter().map(Tables::from_hmm).collect();
         Fhmm {
             devices,
             chains,
@@ -348,6 +301,7 @@ impl Fhmm {
             config,
             joint: OnceLock::new(),
             joint32: OnceLock::new(),
+            isa: Isa::detect(),
         }
     }
 
@@ -380,25 +334,38 @@ impl Fhmm {
     fn decode_t<T: Score>(&self, meter: &PowerTrace, arena: &mut DecodeArena) -> Vec<Vec<usize>> {
         if self.exact_capable() {
             obs::time("nilm.fhmm.decode_exact", || {
-                let view = T::joint_view(self);
                 let inv_two_var = T::from_f64(self.inv_two_var());
-                let mut scratch = T::scratch(arena);
-                let joint = viterbi_single(&view, meter.samples(), inv_two_var, &mut scratch);
+                let joint = viterbi(
+                    self.isa,
+                    T::joint(self),
+                    meter.samples(),
+                    inv_two_var,
+                    &mut T::scratch(arena),
+                );
                 self.unpack_paths(&joint)
             })
         } else {
             obs::time("nilm.fhmm.decode_icm", || {
-                let mut paths = self.decode_icm_batch_t::<T>(&[meter], arena);
-                paths.pop().expect("one lane in, one lane out")
+                self.decode_icm::<T>(meter.samples(), arena)
             })
         }
     }
 
     /// Builds (or fetches) the joint tables for exact decoding.
-    fn joint_tables(&self) -> &JointTables<f64> {
+    fn joint(&self) -> &Joint {
         self.joint.get_or_init(|| {
             let k = self.joint_states();
-            let factored: Vec<Vec<usize>> = (0..k).map(|j| self.unpack(j)).collect();
+            let devices = self.devices.len();
+            // Device 0 is the fastest-varying digit of a joint state.
+            let mut digits = Vec::with_capacity(k * devices);
+            for j in 0..k {
+                let mut rest = j;
+                for dev in &self.devices {
+                    digits.push(rest % dev.n_states());
+                    rest /= dev.n_states();
+                }
+            }
+            let factored: Vec<&[usize]> = digits.chunks(devices).collect();
             let totals: Vec<f64> = factored
                 .iter()
                 .map(|states| {
@@ -420,125 +387,28 @@ impl Fhmm {
                 })
                 .collect();
             // Joint log-transitions factorize as a sum over devices.
-            let mut log_a_t = vec![0.0f64; k * k];
-            for from in 0..k {
-                for to in 0..k {
-                    log_a_t[to * k + from] = factored[from]
-                        .iter()
-                        .zip(&factored[to])
-                        .zip(&self.devices)
-                        .map(|((&f, &t), d)| d.log_trans[f][t])
-                        .sum();
+            let mut log_a = Vec::with_capacity(k * k);
+            for from in &factored {
+                for to in &factored {
+                    log_a.push(
+                        from.iter()
+                            .zip(*to)
+                            .zip(&self.devices)
+                            .map(|((&f, &t), d)| d.log_trans[f][t])
+                            .sum(),
+                    );
                 }
             }
-            JointTables {
-                k,
-                totals,
-                log_init,
-                log_a_t,
+            Joint {
+                tables: Tables {
+                    k,
+                    totals,
+                    log_init,
+                    log_a,
+                },
+                digits,
             }
         })
-    }
-
-    /// The `f32` copies of the joint tables (converted once, then cached).
-    fn joint_tables32(&self) -> &JointTables<f32> {
-        self.joint32.get_or_init(|| {
-            let j = self.joint_tables();
-            JointTables {
-                k: j.k,
-                totals: demote(&j.totals),
-                log_init: demote(&j.log_init),
-                log_a_t: demote(&j.log_a_t),
-            }
-        })
-    }
-
-    /// The `f32` copies of the per-device chains (converted once).
-    fn chains32(&self) -> &[FlatChain<f32>] {
-        self.chains32
-            .get_or_init(|| self.chains.iter().map(FlatChain::demote).collect())
-    }
-
-    /// Decodes a batch of meters through the multi-home SoA kernels,
-    /// returning per-meter per-device state paths in input order.
-    ///
-    /// Meters are grouped by trace length (the batching contract requires
-    /// equal-length lanes) and each group runs through one batched
-    /// exact-Viterbi or ICM pass. Every lane's result is byte-identical to
-    /// decoding that meter alone.
-    pub fn decode_batch(
-        &self,
-        meters: &[&PowerTrace],
-        arena: &mut DecodeArena,
-    ) -> Vec<Vec<Vec<usize>>> {
-        if meters.is_empty() {
-            return Vec::new();
-        }
-        obs::gauge_set("decode.batch_size", meters.len() as f64);
-        match self.config.precision {
-            DecodePrecision::F64 => self.decode_batch_t::<f64>(meters, arena),
-            DecodePrecision::F32 => self.decode_batch_t::<f32>(meters, arena),
-        }
-    }
-
-    fn decode_batch_t<T: Score>(
-        &self,
-        meters: &[&PowerTrace],
-        arena: &mut DecodeArena,
-    ) -> Vec<Vec<Vec<usize>>> {
-        let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (i, m) in meters.iter().enumerate() {
-            groups.entry(m.len()).or_default().push(i);
-        }
-        let mut out: Vec<Option<Vec<Vec<usize>>>> = (0..meters.len()).map(|_| None).collect();
-        for (len, idxs) in groups {
-            if len == 0 {
-                for &i in &idxs {
-                    out[i] = Some(vec![Vec::new(); self.devices.len()]);
-                }
-                continue;
-            }
-            obs::counter_add("nilm.fhmm.samples", (len * idxs.len()) as u64);
-            if self.exact_capable() {
-                let decoded = obs::time("nilm.fhmm.decode_exact", || {
-                    let view = T::joint_view(self);
-                    let xs: Vec<&[f64]> = idxs.iter().map(|&i| meters[i].samples()).collect();
-                    let inv_two_var = T::from_f64(self.inv_two_var());
-                    let mut scratch = T::scratch(arena);
-                    viterbi_batch(&view, &xs, inv_two_var, &mut scratch)
-                });
-                for (joint, &i) in decoded.iter().zip(&idxs) {
-                    out[i] = Some(self.unpack_paths(joint));
-                }
-            } else {
-                let subset: Vec<&PowerTrace> = idxs.iter().map(|&i| meters[i]).collect();
-                let decoded = obs::time("nilm.fhmm.decode_icm", || {
-                    self.decode_icm_batch_t::<T>(&subset, arena)
-                });
-                for (paths, &i) in decoded.into_iter().zip(&idxs) {
-                    out[i] = Some(paths);
-                }
-            }
-        }
-        out.into_iter()
-            .map(|p| p.expect("every meter decoded"))
-            .collect()
-    }
-
-    /// [`Disaggregator::disaggregate`] over a batch of meters through the
-    /// multi-home kernels and a caller-owned arena; results are in input
-    /// order and byte-identical to disaggregating each meter alone.
-    pub fn disaggregate_batch(
-        &self,
-        meters: &[&PowerTrace],
-        arena: &mut DecodeArena,
-    ) -> Vec<Vec<DeviceEstimate>> {
-        let paths = self.decode_batch(meters, arena);
-        meters
-            .iter()
-            .zip(&paths)
-            .map(|(m, p)| self.estimates_from_paths(m.start(), m.resolution(), m.len(), p))
-            .collect()
     }
 
     /// [`Disaggregator::disaggregate`] with a caller-owned arena instead of
@@ -552,37 +422,20 @@ impl Fhmm {
         self.estimates_from_paths(meter.start(), meter.resolution(), meter.len(), &paths)
     }
 
-    /// Batched iterated conditional modes over equal-length lanes.
-    ///
-    /// Per lane this replicates the serial single-home sweep exactly:
-    /// device sweeps stay strictly Gauss-Seidel in the same
-    /// flexible-chains-first order, the residual fill is the same
-    /// arithmetic ([`fill_residual`]), and a lane leaves the active set
-    /// after its first unchanged sweep — the point at which the serial
-    /// loop would `break`. ICM is a per-lane fixed-point iteration, so
-    /// dropping converged lanes early cannot change any result.
-    fn decode_icm_batch_t<T: Score>(
-        &self,
-        meters: &[&PowerTrace],
-        arena: &mut DecodeArena,
-    ) -> Vec<Vec<Vec<usize>>> {
-        let lanes = meters.len();
-        let n = meters[0].len();
-        debug_assert!(meters.iter().all(|m| m.len() == n), "equal-length lanes");
-
+    /// Iterated conditional modes: strictly Gauss-Seidel device sweeps,
+    /// flexible chains first, each a single-chain Viterbi against the
+    /// residual the other devices leave; stops after the first sweep that
+    /// changes no path.
+    fn decode_icm<T: Score>(&self, xs: &[f64], arena: &mut DecodeArena) -> Vec<Vec<usize>> {
+        let n = xs.len();
         // Start everything in its lowest state.
-        let mut paths: Vec<Vec<Vec<usize>>> = (0..lanes)
-            .map(|_| self.devices.iter().map(|_| vec![0usize; n]).collect())
-            .collect();
+        let mut paths: Vec<Vec<usize>> = self.devices.iter().map(|_| vec![0usize; n]).collect();
         let mut explained = std::mem::take(&mut arena.explained);
         explained.clear();
-        explained.resize(lanes * n, 0.0);
-        for (b, home) in paths.iter().enumerate() {
-            let ex = &mut explained[b * n..(b + 1) * n];
-            for (d, dev) in self.devices.iter().enumerate() {
-                for t in 0..n {
-                    ex[t] += dev.state_watts[home[d][t]];
-                }
+        explained.resize(n, 0.0);
+        for (dev, path) in self.devices.iter().zip(&paths) {
+            for (e, &s) in explained.iter_mut().zip(path) {
+                *e += dev.state_watts[s];
             }
         }
 
@@ -593,73 +446,50 @@ impl Fhmm {
 
         let mut residual = std::mem::take(&mut arena.residual);
         residual.clear();
-        residual.resize(lanes * n, 0.0);
+        residual.resize(n, 0.0);
 
         let inv_two_var = T::from_f64(self.inv_two_var());
-        let mut active: Vec<usize> = (0..lanes).collect();
         for _ in 0..self.config.icm_sweeps {
-            if active.is_empty() {
-                break;
-            }
-            let mut changed = vec![false; lanes];
+            let mut changed = false;
             for &d in &order {
                 let dev = &self.devices[d];
-                for &b in &active {
-                    fill_residual(
-                        &mut residual[b * n..(b + 1) * n],
-                        meters[b].samples(),
-                        &explained[b * n..(b + 1) * n],
-                        &dev.state_watts,
-                        &paths[b][d],
-                    );
-                }
-                let xs: Vec<&[f64]> = active
-                    .iter()
-                    .map(|&b| &residual[b * n..(b + 1) * n])
-                    .collect();
-                let view = T::chain_view(self, d);
-                let mut scratch = T::scratch(arena);
-                let new_paths = viterbi_batch(&view, &xs, inv_two_var, &mut scratch);
-                for (new_path, &b) in new_paths.iter().zip(&active) {
-                    if *new_path != paths[b][d] {
-                        changed[b] = true;
-                        let ex = &mut explained[b * n..(b + 1) * n];
-                        for t in 0..n {
-                            ex[t] += dev.state_watts[new_path[t]] - dev.state_watts[paths[b][d][t]];
-                        }
-                        paths[b][d].clone_from(new_path);
+                fill_residual(&mut residual, xs, &explained, &dev.state_watts, &paths[d]);
+                let new_path = viterbi(
+                    self.isa,
+                    T::chain(self, d),
+                    &residual,
+                    inv_two_var,
+                    &mut T::scratch(arena),
+                );
+                if new_path != paths[d] {
+                    changed = true;
+                    for ((e, &new), &old) in explained.iter_mut().zip(&new_path).zip(&paths[d]) {
+                        *e += dev.state_watts[new] - dev.state_watts[old];
                     }
+                    paths[d] = new_path;
                 }
             }
-            active.retain(|&b| changed[b]);
+            if !changed {
+                break;
+            }
         }
         arena.explained = explained;
         arena.residual = residual;
         paths
     }
 
-    /// Unpacks joint state index `j` into per-device states.
-    fn unpack(&self, mut j: usize) -> Vec<usize> {
-        let mut out = Vec::with_capacity(self.devices.len());
-        for d in &self.devices {
-            out.push(j % d.n_states());
-            j /= d.n_states();
-        }
-        out
-    }
-
     /// Unpacks a joint-state path into per-device state paths.
     fn unpack_paths(&self, joint_path: &[usize]) -> Vec<Vec<usize>> {
-        let n = joint_path.len();
-        let mut paths = vec![vec![0usize; n]; self.devices.len()];
-        for (t, &j) in joint_path.iter().enumerate() {
-            let mut rest = j;
-            for (path, dev) in paths.iter_mut().zip(&self.devices) {
-                path[t] = rest % dev.n_states();
-                rest /= dev.n_states();
-            }
-        }
-        paths
+        let digits = &self.joint().digits;
+        let devices = self.devices.len();
+        (0..devices)
+            .map(|d| {
+                joint_path
+                    .iter()
+                    .map(|&j| digits[j * devices + d])
+                    .collect()
+            })
+            .collect()
     }
 
     /// Whether this model decodes with exact factorial Viterbi (as opposed
@@ -680,8 +510,8 @@ impl Fhmm {
     ///
     /// Pushing every sample of a trace and then calling
     /// [`FhmmFilter::paths`] reproduces the batch decode bit for bit: the
-    /// filter runs the same flat-table recurrence as the internal exact
-    /// decoder, merely spread across `push` calls. The filter honours the
+    /// filter runs the same Viterbi step as the internal exact decoder,
+    /// merely spread across `push` calls. The filter honours the
     /// configured [`DecodePrecision`].
     pub fn filter(&self) -> Option<FhmmFilter<'_>> {
         if !self.exact_capable() {
@@ -689,30 +519,6 @@ impl Fhmm {
         }
         Some(FhmmFilter {
             fhmm: self,
-            inv_two_var: self.inv_two_var(),
-            rows: FilterRows::new(self.config.precision),
-            back: Vec::new(),
-            n: 0,
-        })
-    }
-
-    /// Starts an incremental exact-Viterbi forward pass over `lanes` homes
-    /// at once in the SoA layout, or `None` when the joint space is too
-    /// large for exact decoding. Each [`FhmmBatchFilter::push_row`] feeds
-    /// one synchronous observation per lane; per-lane results are
-    /// byte-identical to a single-home [`FhmmFilter`] fed the same trace.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is zero.
-    pub fn batch_filter(&self, lanes: usize) -> Option<FhmmBatchFilter<'_>> {
-        assert!(lanes > 0, "batch filter needs at least one lane");
-        if !self.exact_capable() {
-            return None;
-        }
-        Some(FhmmBatchFilter {
-            fhmm: self,
-            lanes,
             inv_two_var: self.inv_two_var(),
             rows: FilterRows::new(self.config.precision),
             back: Vec::new(),
@@ -746,6 +552,235 @@ impl Fhmm {
     }
 }
 
+/// The `t = 0` score row: `log_init[j] + emit(j, x)`.
+fn init_row<T: Score>(tables: &Tables<T>, x: T, inv_two_var: T, delta: &mut Vec<T>) {
+    delta.clear();
+    delta.extend(
+        tables
+            .totals
+            .iter()
+            .zip(&tables.log_init)
+            .map(|(&total, &init)| {
+                let d = x - total;
+                init + (-d * d * inv_two_var)
+            }),
+    );
+}
+
+/// The Viterbi step and its instruction-set variants. [`Isa`] is opaque
+/// outside this module, so only the runtime feature checks here can
+/// select a SIMD variant.
+mod kernel {
+    use super::{Score, Tables};
+
+    /// Instruction set of the Viterbi step, detected once per
+    /// [`Fhmm`](super::Fhmm).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(super) struct Isa(Kind);
+
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Kind {
+        /// The per-target scalar scan: portable fallback and test oracle.
+        Scalar,
+        /// The lane step compiled with AVX2.
+        #[cfg(target_arch = "x86_64")]
+        Avx2,
+        /// The lane step compiled with AVX-512F.
+        #[cfg(target_arch = "x86_64")]
+        Avx512,
+    }
+
+    impl Isa {
+        /// The scalar scan, on any CPU.
+        pub(super) const SCALAR: Isa = Isa(Kind::Scalar);
+
+        /// The widest variant this CPU supports.
+        pub(super) fn detect() -> Isa {
+            #[cfg(target_arch = "x86_64")]
+            {
+                if std::arch::is_x86_feature_detected!("avx512f") {
+                    return Isa(Kind::Avx512);
+                }
+                if std::arch::is_x86_feature_detected!("avx2") {
+                    return Isa(Kind::Avx2);
+                }
+            }
+            Isa::SCALAR
+        }
+
+        /// Every variant this CPU supports.
+        #[cfg(test)]
+        pub(super) fn supported() -> Vec<Isa> {
+            #[allow(unused_mut)]
+            let mut isas = vec![Isa::SCALAR];
+            #[cfg(target_arch = "x86_64")]
+            {
+                if std::arch::is_x86_feature_detected!("avx2") {
+                    isas.push(Isa(Kind::Avx2));
+                }
+                if std::arch::is_x86_feature_detected!("avx512f") {
+                    isas.push(Isa(Kind::Avx512));
+                }
+            }
+            isas
+        }
+    }
+
+    /// One Viterbi step through the variant `isa` selects. For every target
+    /// `j`: `next[j] = max_i (delta[i] + log_a[i][j]) + emit(j, x)` and
+    /// `back[j]` = the maximizing `i`, where a scan from `NEG_INF` with
+    /// `arg = 0` takes a predecessor only on strict `>`, so the first maximum
+    /// wins. Every variant evaluates the same additions and comparisons in
+    /// the same order per target, so they agree bit for bit.
+    pub(super) fn step<T: Score>(
+        isa: Isa,
+        tables: &Tables<T>,
+        delta: &[T],
+        x: T,
+        inv_two_var: T,
+        next: &mut [T],
+        back: &mut [u32],
+    ) {
+        match isa.0 {
+            Kind::Scalar => step_scalar(tables, delta, x, inv_two_var, next, back),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Kind::Avx2` is only built in `Isa::detect` and
+            // `Isa::supported`, right after `is_x86_feature_detected!("avx2")`
+            // returned true.
+            Kind::Avx2 => unsafe { step_avx2(tables, delta, x, inv_two_var, next, back) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Kind::Avx512` is only built in `Isa::detect` and
+            // `Isa::supported`, right after
+            // `is_x86_feature_detected!("avx512f")` returned true.
+            Kind::Avx512 => unsafe { step_avx512(tables, delta, x, inv_two_var, next, back) },
+        }
+    }
+
+    /// The portable step and the oracle the lane step is tested against: per
+    /// target `j`, a branchy scan over predecessors `i = 0..k`.
+    pub(super) fn step_scalar<T: Score>(
+        tables: &Tables<T>,
+        delta: &[T],
+        x: T,
+        inv_two_var: T,
+        next: &mut [T],
+        back: &mut [u32],
+    ) {
+        let k = tables.k;
+        for (j, (slot, ptr)) in next.iter_mut().zip(back.iter_mut()).enumerate() {
+            let mut best = T::NEG_INF;
+            let mut arg = 0u32;
+            for (i, &d) in delta.iter().enumerate() {
+                let v = d + tables.log_a[i * k + j];
+                if v > best {
+                    best = v;
+                    arg = i as u32;
+                }
+            }
+            let d = x - tables.totals[j];
+            *slot = best + (-d * d * inv_two_var);
+            *ptr = arg;
+        }
+    }
+
+    /// [`step_lanes`] compiled with AVX2.
+    ///
+    /// # Safety
+    ///
+    /// The caller must have checked `is_x86_feature_detected!("avx2")`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn step_avx2<T: Score>(
+        tables: &Tables<T>,
+        delta: &[T],
+        x: T,
+        inv_two_var: T,
+        next: &mut [T],
+        back: &mut [u32],
+    ) {
+        step_lanes(tables, delta, x, inv_two_var, next, back);
+    }
+
+    /// [`step_lanes`] compiled with AVX-512F.
+    ///
+    /// # Safety
+    ///
+    /// The caller must have checked `is_x86_feature_detected!("avx512f")`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    fn step_avx512<T: Score>(
+        tables: &Tables<T>,
+        delta: &[T],
+        x: T,
+        inv_two_var: T,
+        next: &mut [T],
+        back: &mut [u32],
+    ) {
+        step_lanes(tables, delta, x, inv_two_var, next, back);
+    }
+
+    /// Targets per register tile of [`step_lanes`]: a tile's `best`/`arg`
+    /// lanes stay in vector registers for the whole predecessor walk.
+    const TILE: usize = 16;
+
+    /// The vectorizable step: predecessors `i` in ascending order, each
+    /// folded into every target's `best`/`arg` lane at once by [`relax`].
+    /// Targets go in register tiles of [`TILE`]; a ragged tail keeps its
+    /// lanes in `next`/`back` instead. Per target this is the scalar scan's
+    /// exact sequence of additions and strict-`>` comparisons.
+    #[inline(always)]
+    fn step_lanes<T: Score>(
+        tables: &Tables<T>,
+        delta: &[T],
+        x: T,
+        inv_two_var: T,
+        next: &mut [T],
+        back: &mut [u32],
+    ) {
+        let k = tables.k;
+        let mut j0 = 0;
+        while j0 + TILE <= k {
+            let mut best = [T::NEG_INF; TILE];
+            let mut arg = [0u32; TILE];
+            for (i, &d) in delta.iter().enumerate() {
+                let row = &tables.log_a[i * k + j0..i * k + j0 + TILE];
+                relax(&mut best, &mut arg, d, row, i as u32);
+            }
+            next[j0..j0 + TILE].copy_from_slice(&best);
+            back[j0..j0 + TILE].copy_from_slice(&arg);
+            j0 += TILE;
+        }
+        if j0 < k {
+            let (best, arg) = (&mut next[j0..k], &mut back[j0..k]);
+            best.fill(T::NEG_INF);
+            arg.fill(0);
+            for (i, &d) in delta.iter().enumerate() {
+                let row = &tables.log_a[i * k + j0..(i + 1) * k];
+                relax(best, arg, d, row, i as u32);
+            }
+        }
+        for (slot, &total) in next.iter_mut().zip(&tables.totals) {
+            let d = x - total;
+            *slot = *slot + (-d * d * inv_two_var);
+        }
+    }
+
+    /// Folds predecessor `i` (score `d`, transitions `row` to each lane's
+    /// target) into the lanes with branch-free selects: a lane takes `i` only
+    /// when `d + row[lane]` is strictly greater than its best so far.
+    #[inline(always)]
+    fn relax<T: Score>(best: &mut [T], arg: &mut [u32], d: T, row: &[T], i: u32) {
+        for ((b, a), &t) in best.iter_mut().zip(arg.iter_mut()).zip(row) {
+            let v = d + t;
+            let take = v > *b;
+            *b = if take { v } else { *b };
+            *a = if take { i } else { *a };
+        }
+    }
+}
+
+use kernel::{step, Isa};
+
 /// Last-max argmax over a score row — the semantics of
 /// `iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1))` that the decoder
 /// has always used for the final step.
@@ -758,54 +793,9 @@ fn final_arg<T: Score>(delta: &[T]) -> usize {
         .unwrap_or(0)
 }
 
-/// Single-lane flat Viterbi over any [`TablesView`] (joint space or one
-/// device chain against a residual), using caller-owned arena scratch.
-fn viterbi_single<T: Score>(
-    view: &TablesView<'_, T>,
-    xs: &[f64],
-    inv_two_var: T,
-    scratch: &mut Scratch<'_, T>,
-) -> Vec<usize> {
-    let k = view.k;
-    let n = xs.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    note_arena_use(scratch.back, n * k);
-    let emit = |j: usize, x: f64| -> T {
-        let d = T::from_f64(x) - view.totals[j];
-        -d * d * inv_two_var
-    };
-
-    // Two scratch rows swapped each step; flat u32 backpointers.
-    let delta: &mut Vec<T> = scratch.delta;
-    let next: &mut Vec<T> = scratch.next;
-    let back: &mut Vec<u32> = scratch.back;
-    delta.clear();
-    delta.extend((0..k).map(|j| view.log_init[j] + emit(j, xs[0])));
-    next.clear();
-    next.resize(k, T::NEG_INF);
-    back.clear();
-    back.resize(n * k, 0);
-
-    for t in 1..n {
-        let back_row = &mut back[t * k..(t + 1) * k];
-        for (j, slot) in back_row.iter_mut().enumerate() {
-            let row = &view.log_a_t[j * k..(j + 1) * k];
-            let mut best = T::NEG_INF;
-            let mut arg = 0u32;
-            for (i, (&d, &a)) in delta.iter().zip(row).enumerate() {
-                let v = d + a;
-                if v > best {
-                    best = v;
-                    arg = i as u32;
-                }
-            }
-            next[j] = best + emit(j, xs[t]);
-            *slot = arg;
-        }
-        std::mem::swap(delta, next);
-    }
+/// Walks the backpointers of an `n`-step decode back from the final
+/// score row.
+fn backtrack<T: Score>(delta: &[T], back: &[u32], k: usize, n: usize) -> Vec<usize> {
     let mut path = vec![0usize; n];
     path[n - 1] = final_arg(delta);
     for t in (0..n - 1).rev() {
@@ -814,165 +804,41 @@ fn viterbi_single<T: Score>(
     path
 }
 
-/// Gathers observation `t` of every lane into the SoA column.
-fn gather_col<T: Score>(col: &mut [T], xs_list: &[&[f64]], t: usize) {
-    for (c, xs) in col.iter_mut().zip(xs_list) {
-        *c = T::from_f64(xs[t]);
-    }
-}
-
-/// The `t = 0` row of the batched recurrence:
-/// `delta[j*B + b] = log_init[j] + emit(j, col[b])`.
-fn batch_init_step<T: Score>(view: &TablesView<'_, T>, col: &[T], delta: &mut [T], inv_two_var: T) {
-    let lanes = col.len();
-    for j in 0..view.k {
-        let tj = view.totals[j];
-        let init_j = view.log_init[j];
-        let delta_j = &mut delta[j * lanes..(j + 1) * lanes];
-        for (dj, &c) in delta_j.iter_mut().zip(col) {
-            let d = c - tj;
-            *dj = init_j + (-d * d * inv_two_var);
-        }
-    }
-}
-
-/// One time step of the batched recurrence in the transposed SoA layout
-/// (`scores[state * B + home]`): for each target state `j` the predecessor
-/// scan is an outer loop over `i` with a contiguous, branch-predictable
-/// inner loop over lanes — the compare-and-select body auto-vectorizes.
-/// Per lane this performs exactly the single-lane kernel's operations in
-/// the same order (first-max on strict `>`, emission added after the
-/// scan), so lane `b` of the batch is byte-identical to a solo decode.
-fn batch_step<T: Score>(
-    view: &TablesView<'_, T>,
-    col: &[T],
-    delta: &[T],
-    next: &mut [T],
-    back_t: &mut [u32],
-    inv_two_var: T,
-) {
-    let lanes = col.len();
-    for j in 0..view.k {
-        let row = &view.log_a_t[j * view.k..(j + 1) * view.k];
-        let next_j = &mut next[j * lanes..(j + 1) * lanes];
-        let back_j = &mut back_t[j * lanes..(j + 1) * lanes];
-        // Predecessor i = 0 seeds the scan (scores are never NaN, so this
-        // equals a NEG_INF fill followed by a strict-`>` first iteration).
-        let a0 = row[0];
-        for (nj, &di) in next_j.iter_mut().zip(&delta[..lanes]) {
-            *nj = di + a0;
-        }
-        back_j.fill(0);
-        for (i, &a) in row.iter().enumerate().skip(1) {
-            let delta_i = &delta[i * lanes..(i + 1) * lanes];
-            let arg = i as u32;
-            for ((nj, bj), &di) in next_j.iter_mut().zip(back_j.iter_mut()).zip(delta_i) {
-                let v = di + a;
-                // Branch-free first-max keeps the compare-and-select body
-                // auto-vectorizable; same strict-`>` result as the single
-                // kernel.
-                let take = v > *nj;
-                *nj = if take { v } else { *nj };
-                *bj = if take { arg } else { *bj };
-            }
-        }
-        let tj = view.totals[j];
-        for (nj, &c) in next_j.iter_mut().zip(col) {
-            let d = c - tj;
-            *nj = *nj + (-d * d * inv_two_var);
-        }
-    }
-}
-
-/// Per-lane termination of the batched decode: last-max argmax over each
-/// lane's final scores (matching [`final_arg`]) followed by the
-/// backpointer walk.
-fn batch_backtrack<T: Score>(
-    k: usize,
-    lanes: usize,
-    n: usize,
-    delta: &[T],
-    back: &[u32],
-) -> Vec<Vec<usize>> {
-    let mut joint = vec![vec![0usize; n]; lanes];
-    for (b, path) in joint.iter_mut().enumerate() {
-        let mut best = delta[b];
-        let mut arg = 0usize;
-        for j in 1..k {
-            let v = delta[j * lanes + b];
-            if best.total_cmp(&v) != Ordering::Greater {
-                best = v;
-                arg = j;
-            }
-        }
-        path[n - 1] = arg;
-        for t in (0..n - 1).rev() {
-            path[t] = back[(t + 1) * k * lanes + path[t + 1] * lanes + b] as usize;
-        }
-    }
-    joint
-}
-
-/// Multi-lane flat Viterbi over any [`TablesView`]: `B = xs_list.len()`
-/// equal-length lanes decoded in one pass through the SoA recurrence.
-/// Returns one state path per lane, each byte-identical to
-/// [`viterbi_single`] on that lane alone.
-fn viterbi_batch<T: Score>(
-    view: &TablesView<'_, T>,
-    xs_list: &[&[f64]],
+/// Whole-trace Viterbi over any [`Tables`] (joint space or one device
+/// chain against a residual), using caller-owned arena scratch.
+fn viterbi<T: Score>(
+    isa: Isa,
+    tables: &Tables<T>,
+    xs: &[f64],
     inv_two_var: T,
     scratch: &mut Scratch<'_, T>,
-) -> Vec<Vec<usize>> {
-    let lanes = xs_list.len();
-    if lanes == 0 {
+) -> Vec<usize> {
+    let k = tables.k;
+    let n = xs.len();
+    if n == 0 {
         return Vec::new();
     }
-    let k = view.k;
-    let n = xs_list[0].len();
-    debug_assert!(xs_list.iter().all(|xs| xs.len() == n), "equal-length lanes");
-    if n == 0 {
-        return vec![Vec::new(); lanes];
-    }
-    note_arena_use(scratch.back, n * k * lanes);
-
-    let delta: &mut Vec<T> = scratch.delta;
-    let next: &mut Vec<T> = scratch.next;
-    let col: &mut Vec<T> = scratch.col;
-    let back: &mut Vec<u32> = scratch.back;
-    delta.clear();
-    delta.resize(k * lanes, T::NEG_INF);
+    note_arena_use(scratch.back, n * k);
+    let Scratch { delta, next, back } = scratch;
+    init_row(tables, T::from_f64(xs[0]), inv_two_var, delta);
     next.clear();
-    next.resize(k * lanes, T::NEG_INF);
-    col.clear();
-    col.resize(lanes, T::NEG_INF);
+    next.resize(k, T::NEG_INF);
     back.clear();
-    back.resize(n * k * lanes, 0);
-
-    gather_col(col, xs_list, 0);
-    batch_init_step(view, col, delta, inv_two_var);
-    for t in 1..n {
-        gather_col(col, xs_list, t);
-        let back_t = &mut back[t * k * lanes..(t + 1) * k * lanes];
-        batch_step(view, col, delta, next, back_t, inv_two_var);
-        std::mem::swap(delta, next);
+    back.resize(n * k, 0);
+    for (t, &x) in xs.iter().enumerate().skip(1) {
+        let back_t = &mut back[t * k..(t + 1) * k];
+        let x = T::from_f64(x);
+        step(isa, tables, delta, x, inv_two_var, next, back_t);
+        std::mem::swap(*delta, *next);
     }
-    batch_backtrack(k, lanes, n, delta, back)
+    backtrack(delta, back, k, n)
 }
 
-/// The precision-selected score rows of an incremental filter. The batch
-/// observation column rides along (unused by the single-lane filter).
+/// The precision-selected score rows of an incremental filter.
 #[derive(Debug, Clone)]
 enum FilterRows {
-    F64 {
-        delta: Vec<f64>,
-        next: Vec<f64>,
-        col: Vec<f64>,
-    },
-    F32 {
-        delta: Vec<f32>,
-        next: Vec<f32>,
-        col: Vec<f32>,
-    },
+    F64 { delta: Vec<f64>, next: Vec<f64> },
+    F32 { delta: Vec<f32>, next: Vec<f32> },
 }
 
 impl FilterRows {
@@ -981,12 +847,10 @@ impl FilterRows {
             DecodePrecision::F64 => FilterRows::F64 {
                 delta: Vec::new(),
                 next: Vec::new(),
-                col: Vec::new(),
             },
             DecodePrecision::F32 => FilterRows::F32 {
                 delta: Vec::new(),
                 next: Vec::new(),
-                col: Vec::new(),
             },
         }
     }
@@ -1006,7 +870,7 @@ pub struct FhmmFilter<'a> {
     n: usize,
 }
 
-/// One `push` of the single-lane filter recurrence at width `T`.
+/// One `push` of the filter recurrence at width `T`.
 fn filter_push<T: Score>(
     fhmm: &Fhmm,
     delta: &mut Vec<T>,
@@ -1014,76 +878,44 @@ fn filter_push<T: Score>(
     back: &mut Vec<u32>,
     n: usize,
     x: f64,
-    inv_two_var_f64: f64,
+    inv_two_var: f64,
 ) {
-    let view = T::joint_view(fhmm);
-    let k = view.k;
-    let inv_two_var = T::from_f64(inv_two_var_f64);
+    let tables = T::joint(fhmm);
+    let k = tables.k;
+    let x = T::from_f64(x);
+    let inv_two_var = T::from_f64(inv_two_var);
+    // Row 0 of the backpointer table is never read; keep it zeroed to
+    // mirror the batch decoder's layout.
+    back.resize((n + 1) * k, 0);
     if n == 0 {
-        delta.clear();
-        delta.extend((0..k).map(|j| {
-            let d = T::from_f64(x) - view.totals[j];
-            view.log_init[j] + (-d * d * inv_two_var)
-        }));
+        init_row(tables, x, inv_two_var, delta);
         next.clear();
         next.resize(k, T::NEG_INF);
-        // Row 0 of the backpointer table is never read; keep it zeroed
-        // to mirror the batch decoder's layout.
-        back.resize(k, 0);
     } else {
-        let t = n;
-        back.resize((t + 1) * k, 0);
-        for j in 0..k {
-            let row = &view.log_a_t[j * k..(j + 1) * k];
-            let mut best = T::NEG_INF;
-            let mut arg = 0u32;
-            for (i, (&dv, &a)) in delta.iter().zip(row).enumerate() {
-                let v = dv + a;
-                if v > best {
-                    best = v;
-                    arg = i as u32;
-                }
-            }
-            let d = T::from_f64(x) - view.totals[j];
-            next[j] = best + (-d * d * inv_two_var);
-            back[t * k + j] = arg;
-        }
+        step(
+            fhmm.isa,
+            tables,
+            delta,
+            x,
+            inv_two_var,
+            next,
+            &mut back[n * k..],
+        );
         std::mem::swap(delta, next);
     }
-}
-
-/// Backtrack of a completed (or mid-trace) single-lane filter.
-fn filter_backtrack<T: Score>(delta: &[T], back: &[u32], k: usize, n: usize) -> Vec<usize> {
-    let mut joint = vec![0usize; n];
-    joint[n - 1] = final_arg(delta);
-    for t in (0..n - 1).rev() {
-        joint[t] = back[(t + 1) * k + joint[t + 1]] as usize;
-    }
-    joint
 }
 
 impl FhmmFilter<'_> {
     /// Advances the decode by one aggregate observation (watts).
     pub fn push(&mut self, x: f64) {
+        let (fhmm, back, n) = (self.fhmm, &mut self.back, self.n);
         match &mut self.rows {
-            FilterRows::F64 { delta, next, .. } => filter_push::<f64>(
-                self.fhmm,
-                delta,
-                next,
-                &mut self.back,
-                self.n,
-                x,
-                self.inv_two_var,
-            ),
-            FilterRows::F32 { delta, next, .. } => filter_push::<f32>(
-                self.fhmm,
-                delta,
-                next,
-                &mut self.back,
-                self.n,
-                x,
-                self.inv_two_var,
-            ),
+            FilterRows::F64 { delta, next } => {
+                filter_push::<f64>(fhmm, delta, next, back, n, x, self.inv_two_var)
+            }
+            FilterRows::F32 { delta, next } => {
+                filter_push::<f32>(fhmm, delta, next, back, n, x, self.inv_two_var)
+            }
         }
         self.n += 1;
     }
@@ -1098,6 +930,21 @@ impl FhmmFilter<'_> {
         self.n == 0
     }
 
+    /// Heap bytes the filter owns (capacities, not lengths): the
+    /// backpointer table, which grows by `4 × k` bytes per sample, plus
+    /// the two score rows.
+    pub fn heap_bytes(&self) -> usize {
+        let rows = match &self.rows {
+            FilterRows::F64 { delta, next } => {
+                (delta.capacity() + next.capacity()) * std::mem::size_of::<f64>()
+            }
+            FilterRows::F32 { delta, next } => {
+                (delta.capacity() + next.capacity()) * std::mem::size_of::<f32>()
+            }
+        };
+        self.back.capacity() * std::mem::size_of::<u32>() + rows
+    }
+
     /// Backtracks the decode so far into per-device state paths —
     /// byte-identical to what the batch decoder returns for the same
     /// observation prefix. Does not consume the filter; feeding may
@@ -1107,132 +954,12 @@ impl FhmmFilter<'_> {
         if n == 0 {
             return vec![Vec::new(); self.fhmm.devices.len()];
         }
-        let k = self.fhmm.joint_tables().k;
+        let k = self.fhmm.joint().tables.k;
         let joint = match &self.rows {
-            FilterRows::F64 { delta, .. } => filter_backtrack::<f64>(delta, &self.back, k, n),
-            FilterRows::F32 { delta, .. } => filter_backtrack::<f32>(delta, &self.back, k, n),
+            FilterRows::F64 { delta, .. } => backtrack(delta, &self.back, k, n),
+            FilterRows::F32 { delta, .. } => backtrack(delta, &self.back, k, n),
         };
         self.fhmm.unpack_paths(&joint)
-    }
-}
-
-/// One `push_row` of the batched filter recurrence at width `T`.
-#[allow(clippy::too_many_arguments)]
-fn batch_filter_push<T: Score>(
-    fhmm: &Fhmm,
-    delta: &mut Vec<T>,
-    next: &mut Vec<T>,
-    col: &mut Vec<T>,
-    back: &mut Vec<u32>,
-    lanes: usize,
-    n: usize,
-    xs: &[f64],
-    inv_two_var_f64: f64,
-) {
-    let view = T::joint_view(fhmm);
-    let k = view.k;
-    let inv_two_var = T::from_f64(inv_two_var_f64);
-    col.clear();
-    col.extend(xs.iter().map(|&x| T::from_f64(x)));
-    if n == 0 {
-        delta.clear();
-        delta.resize(k * lanes, T::NEG_INF);
-        next.clear();
-        next.resize(k * lanes, T::NEG_INF);
-        back.resize(k * lanes, 0);
-        batch_init_step(&view, col, delta, inv_two_var);
-    } else {
-        let t = n;
-        back.resize((t + 1) * k * lanes, 0);
-        let back_t = &mut back[t * k * lanes..(t + 1) * k * lanes];
-        batch_step(&view, col, delta, next, back_t, inv_two_var);
-        std::mem::swap(delta, next);
-    }
-}
-
-/// Incremental forward pass of the *batched* exact Viterbi decoder: `B`
-/// homes advance in lockstep, one synchronous observation row per
-/// [`FhmmBatchFilter::push_row`], in the same SoA layout as
-/// [`Fhmm::decode_batch`]. Cloning the filter checkpoints all lanes at
-/// once; [`FhmmBatchFilter::paths`] backtracks every lane, byte-identical
-/// to a single-home [`FhmmFilter`] fed the same per-lane trace.
-#[derive(Debug, Clone)]
-pub struct FhmmBatchFilter<'a> {
-    fhmm: &'a Fhmm,
-    lanes: usize,
-    inv_two_var: f64,
-    rows: FilterRows,
-    back: Vec<u32>,
-    n: usize,
-}
-
-impl FhmmBatchFilter<'_> {
-    /// Advances every lane by one aggregate observation (watts).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `xs` holds exactly one reading per lane.
-    pub fn push_row(&mut self, xs: &[f64]) {
-        assert_eq!(xs.len(), self.lanes, "one reading per lane");
-        match &mut self.rows {
-            FilterRows::F64 { delta, next, col } => batch_filter_push::<f64>(
-                self.fhmm,
-                delta,
-                next,
-                col,
-                &mut self.back,
-                self.lanes,
-                self.n,
-                xs,
-                self.inv_two_var,
-            ),
-            FilterRows::F32 { delta, next, col } => batch_filter_push::<f32>(
-                self.fhmm,
-                delta,
-                next,
-                col,
-                &mut self.back,
-                self.lanes,
-                self.n,
-                xs,
-                self.inv_two_var,
-            ),
-        }
-        self.n += 1;
-    }
-
-    /// Number of lanes advancing in lockstep.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Number of observation rows pushed so far.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether no observation row has been pushed yet.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Backtracks every lane's decode so far into per-device state paths
-    /// (outer index: lane). Does not consume the filter.
-    pub fn paths(&self) -> Vec<Vec<Vec<usize>>> {
-        let n = self.n;
-        if n == 0 {
-            return vec![vec![Vec::new(); self.fhmm.devices.len()]; self.lanes];
-        }
-        let k = self.fhmm.joint_tables().k;
-        let joints = match &self.rows {
-            FilterRows::F64 { delta, .. } => {
-                batch_backtrack::<f64>(k, self.lanes, n, delta, &self.back)
-            }
-            FilterRows::F32 { delta, .. } => {
-                batch_backtrack::<f32>(k, self.lanes, n, delta, &self.back)
-            }
-        };
-        joints.iter().map(|j| self.fhmm.unpack_paths(j)).collect()
     }
 }
 
@@ -1288,6 +1015,9 @@ mod tests {
     use super::*;
     use crate::estimate::evaluate_disaggregation;
     use crate::train::train_device_hmm;
+    use proptest::prelude::*;
+    use rand::Rng;
+    use timeseries::rng::{normal, seeded_rng};
     use timeseries::{Resolution, Timestamp};
 
     fn square_wave(period: usize, on_len: usize, watts: f64, len: usize) -> PowerTrace {
@@ -1302,7 +1032,6 @@ mod tests {
 
     /// A noisy two-device meter, deterministic per seed.
     fn noisy_meter(seed: u64, len: usize) -> (PowerTrace, PowerTrace, PowerTrace) {
-        use timeseries::rng::{normal, seeded_rng};
         let a_truth = square_wave(40, 15, 150.0, len);
         let b_truth = square_wave(90, 30, 1_000.0, len);
         let mut rng = seeded_rng(seed);
@@ -1322,6 +1051,14 @@ mod tests {
             ],
             config,
         )
+    }
+
+    /// The same model decoding through the scalar step.
+    fn scalar_oracle(fhmm: &Fhmm) -> Fhmm {
+        Fhmm {
+            isa: Isa::SCALAR,
+            ..fhmm.clone()
+        }
     }
 
     #[test]
@@ -1388,7 +1125,6 @@ mod tests {
     fn confuses_similar_small_loads_under_noise() {
         // Two near-identical small loads + noise: FHMM has trouble — this
         // is the PowerPlay advantage the paper's Figure 2 shows.
-        use timeseries::rng::{normal, seeded_rng};
         let a_truth = square_wave(50, 20, 100.0, 800);
         let b_truth = square_wave(64, 24, 110.0, 800);
         let mut rng = seeded_rng(1);
@@ -1424,16 +1160,35 @@ mod tests {
     }
 
     #[test]
-    fn flat_chain_matches_nested_table() {
+    fn chain_tables_are_from_major() {
         let t = square_wave(30, 10, 500.0, 300);
         let dev = train_device_hmm("d", &t, 3);
-        let chain = FlatChain::from_hmm(&dev);
+        let chain = Tables::from_hmm(&dev);
         for from in 0..dev.n_states() {
             for to in 0..dev.n_states() {
-                assert_eq!(
-                    chain.log_trans_t[to * chain.k + from],
-                    dev.log_trans[from][to]
-                );
+                assert_eq!(chain.log_a[from * chain.k + to], dev.log_trans[from][to]);
+            }
+        }
+    }
+
+    #[test]
+    fn digit_table_unpacks_like_div_mod() {
+        let device = |states: usize| DeviceHmm {
+            name: format!("{states}-state"),
+            state_watts: (0..states).map(|s| s as f64 * 100.0).collect(),
+            log_trans: vec![vec![-(states as f64).ln(); states]; states],
+            log_init: vec![-(states as f64).ln(); states],
+        };
+        let fhmm = Fhmm::new(vec![device(2), device(3), device(2)]);
+        let k = fhmm.joint_states();
+        assert_eq!(k, 12);
+        let joint: Vec<usize> = (0..k).rev().collect();
+        let paths = fhmm.unpack_paths(&joint);
+        for (t, &j) in joint.iter().enumerate() {
+            let mut rest = j;
+            for (path, dev) in paths.iter().zip(&fhmm.devices) {
+                assert_eq!(path[t], rest % dev.n_states());
+                rest /= dev.n_states();
             }
         }
     }
@@ -1460,87 +1215,162 @@ mod tests {
         assert_eq!(DecodePrecision::default(), DecodePrecision::F64);
     }
 
+    /// Random `k`-state tables built from fewer prototype states, so that
+    /// duplicated states force exact ties. Transitions and initial
+    /// log-probs include `-inf` (zero probability) and both signed zeros.
+    fn random_tables<T: Score>(seed: u64, k: usize) -> Tables<T> {
+        let mut rng = seeded_rng(seed);
+        let protos = (k * 2 / 3).max(1);
+        let log_p = |rng: &mut timeseries::rng::SeededRng| match rng.gen_range(0..10u32) {
+            0 | 1 => f64::NEG_INFINITY,
+            2 => 0.0,
+            3 => -0.0,
+            _ => -rng.gen_range(0.0f64..6.0),
+        };
+        let proto_total: Vec<f64> = (0..protos)
+            .map(|p| (p * 150) as f64 + rng.gen_range(0.0..100.0))
+            .collect();
+        let proto_init: Vec<f64> = (0..protos).map(|_| log_p(&mut rng)).collect();
+        let proto_a: Vec<f64> = (0..protos * protos).map(|_| log_p(&mut rng)).collect();
+        let kind: Vec<usize> = (0..k).map(|_| rng.gen_range(0..protos)).collect();
+        Tables {
+            k,
+            totals: kind.iter().map(|&p| T::from_f64(proto_total[p])).collect(),
+            log_init: kind.iter().map(|&p| T::from_f64(proto_init[p])).collect(),
+            log_a: (0..k * k)
+                .map(|ij| T::from_f64(proto_a[kind[ij / k] * protos + kind[ij % k]]))
+                .collect(),
+        }
+    }
+
+    /// Steps random models through the scalar oracle, the dispatched step
+    /// and every variant the host supports, demanding identical score
+    /// bits and backpointers at every step. Also checks that the inputs
+    /// did reach ties, `-inf` transitions and zero scores.
+    fn variants_match_oracle<T: Score>(bits: fn(T) -> u64) {
+        let inv_two_var = T::from_f64(0.5 / (40.0 * 40.0));
+        let zero = T::from_f64(0.0);
+        let (mut ties, mut neg_inf, mut zeros) = (false, false, false);
+        for k in [1usize, 2, 3, 7, 8, 9, 15, 16, 17, 31, 64] {
+            for seed in 0..4u64 {
+                let tables = random_tables::<T>(seed * 1_000 + k as u64, k);
+                ties |= (1..k).any(|j| tables.totals[..j].contains(&tables.totals[j]));
+                neg_inf |= tables.log_a.contains(&T::NEG_INF);
+                let mut rng = seeded_rng(seed + 77);
+                let draw = |rng: &mut timeseries::rng::SeededRng| {
+                    if rng.gen_bool(0.5) {
+                        // Exactly a state total: the emission term is -0.
+                        tables.totals[rng.gen_range(0..k)]
+                    } else {
+                        T::from_f64(rng.gen_range(0.0..1_500.0))
+                    }
+                };
+                let mut delta = Vec::new();
+                init_row(&tables, draw(&mut rng), inv_two_var, &mut delta);
+                for t in 1..12 {
+                    let x = draw(&mut rng);
+                    let mut want = vec![T::NEG_INF; k];
+                    let mut want_back = vec![0u32; k];
+                    kernel::step_scalar(&tables, &delta, x, inv_two_var, &mut want, &mut want_back);
+                    let dispatched = std::iter::once(Isa::detect());
+                    for isa in dispatched.chain(Isa::supported()) {
+                        let mut got = vec![T::NEG_INF; k];
+                        let mut got_back = vec![u32::MAX; k];
+                        step(
+                            isa,
+                            &tables,
+                            &delta,
+                            x,
+                            inv_two_var,
+                            &mut got,
+                            &mut got_back,
+                        );
+                        let ctx = format!("{isa:?} k={k} seed={seed} t={t}");
+                        assert_eq!(
+                            got.iter().map(|&v| bits(v)).collect::<Vec<_>>(),
+                            want.iter().map(|&v| bits(v)).collect::<Vec<_>>(),
+                            "scores, {ctx}"
+                        );
+                        assert_eq!(got_back, want_back, "backpointers, {ctx}");
+                    }
+                    zeros |= want.contains(&zero);
+                    delta = want;
+                }
+            }
+        }
+        assert!(ties && neg_inf && zeros, "{ties} {neg_inf} {zeros}");
+    }
+
     #[test]
-    fn batched_exact_matches_single_for_any_b() {
-        let fhmm = two_device_fhmm(FhmmConfig::default());
-        assert!(fhmm.exact_capable());
-        for lanes in [1usize, 3, 8] {
-            let meters: Vec<PowerTrace> =
-                (0..lanes).map(|s| noisy_meter(s as u64, 300).2).collect();
-            let refs: Vec<&PowerTrace> = meters.iter().collect();
+    fn step_variants_match_scalar_oracle_f64() {
+        variants_match_oracle::<f64>(f64::to_bits);
+    }
+
+    #[test]
+    fn step_variants_match_scalar_oracle_f32() {
+        variants_match_oracle::<f32>(|v| u64::from(v.to_bits()));
+    }
+
+    fn prop_models() -> &'static [Fhmm; 3] {
+        static MODELS: OnceLock<[Fhmm; 3]> = OnceLock::new();
+        MODELS.get_or_init(|| {
+            [
+                two_device_fhmm(FhmmConfig::default()),
+                two_device_fhmm(FhmmConfig {
+                    max_exact_states: 1,
+                    ..FhmmConfig::default()
+                }),
+                two_device_fhmm(FhmmConfig {
+                    precision: DecodePrecision::F32,
+                    ..FhmmConfig::default()
+                }),
+            ]
+        })
+    }
+
+    proptest! {
+        /// Exact, ICM and f32 decodes of ragged-length meters with
+        /// arbitrary (model-mismatched) watts equal the scalar oracle.
+        #[test]
+        fn decode_matches_scalar_oracle(
+            xs in prop::collection::vec(
+                prop::collection::vec(0.0f64..3_000.0, 1..80), 1..7),
+        ) {
             let mut arena = DecodeArena::new();
-            let batched = fhmm.decode_batch(&refs, &mut arena);
-            for (m, got) in meters.iter().zip(&batched) {
-                let solo = fhmm.decode(m, &mut DecodeArena::new());
-                assert_eq!(*got, solo, "lanes {lanes}");
+            for fhmm in prop_models() {
+                let oracle = scalar_oracle(fhmm);
+                for x in &xs {
+                    let meter =
+                        PowerTrace::new(Timestamp::ZERO, Resolution::ONE_MINUTE, x.clone()).unwrap();
+                    prop_assert_eq!(
+                        fhmm.decode(&meter, &mut arena),
+                        oracle.decode(&meter, &mut DecodeArena::new())
+                    );
+                }
             }
         }
     }
 
     #[test]
-    fn batched_icm_matches_serial() {
+    fn icm_matches_scalar_oracle_on_noisy_meters() {
         let fhmm = two_device_fhmm(FhmmConfig {
             max_exact_states: 1,
             ..FhmmConfig::default()
         });
         assert!(!fhmm.exact_capable());
-        let meters: Vec<PowerTrace> = (0..4).map(|s| noisy_meter(s as u64, 250).2).collect();
-        let refs: Vec<&PowerTrace> = meters.iter().collect();
-        let mut arena = DecodeArena::new();
-        let batched = fhmm.decode_batch(&refs, &mut arena);
-        for (m, got) in meters.iter().zip(&batched) {
-            let solo = fhmm.decode(m, &mut DecodeArena::new());
-            assert_eq!(*got, solo);
+        let oracle = scalar_oracle(&fhmm);
+        for seed in 0..4 {
+            let meter = noisy_meter(seed, 250).2;
+            assert_eq!(
+                fhmm.decode(&meter, &mut DecodeArena::new()),
+                oracle.decode(&meter, &mut DecodeArena::new())
+            );
         }
     }
 
-    #[test]
-    fn ragged_batch_groups_by_length() {
-        let fhmm = two_device_fhmm(FhmmConfig::default());
-        let lens = [300usize, 120, 300, 0, 120];
-        let meters: Vec<PowerTrace> = lens
-            .iter()
-            .enumerate()
-            .map(|(s, &len)| noisy_meter(s as u64, len.max(1)).2.slice(0..len))
-            .collect();
-        let refs: Vec<&PowerTrace> = meters.iter().collect();
-        let mut arena = DecodeArena::new();
-        let batched = fhmm.decode_batch(&refs, &mut arena);
-        assert_eq!(batched.len(), meters.len());
-        for (m, got) in meters.iter().zip(&batched) {
-            let solo = fhmm.decode(m, &mut DecodeArena::new());
-            assert_eq!(*got, solo);
-        }
-    }
-
-    #[test]
-    fn batch_filter_matches_batch_decode() {
-        let fhmm = two_device_fhmm(FhmmConfig::default());
-        let meters: Vec<PowerTrace> = (0..3).map(|s| noisy_meter(s as u64, 180).2).collect();
-        let refs: Vec<&PowerTrace> = meters.iter().collect();
-        let mut arena = DecodeArena::new();
-        let batched = fhmm.decode_batch(&refs, &mut arena);
-
-        let mut filter = fhmm.batch_filter(3).unwrap();
-        let mut checkpoint = None;
-        for t in 0..180 {
-            let row: Vec<f64> = meters.iter().map(|m| m.samples()[t]).collect();
-            filter.push_row(&row);
-            if t == 90 {
-                checkpoint = Some(filter.clone());
-            }
-        }
-        assert_eq!(filter.paths(), batched);
-
-        // Restoring the checkpoint and replaying the tail reproduces it.
-        let mut restored = checkpoint.unwrap();
-        for t in 91..180 {
-            let row: Vec<f64> = meters.iter().map(|m| m.samples()[t]).collect();
-            restored.push_row(&row);
-        }
-        assert_eq!(restored.paths(), batched);
-    }
-
+    /// Ties the f32 fast path to the `accuracy.f32-decode-close` claim
+    /// band (state disagreement vs f64 < 2%) across 8 seeds of
+    /// model-matched noisy meters.
     #[test]
     fn f32_path_decodes_close_to_f64() {
         let f64_model = two_device_fhmm(FhmmConfig::default());
@@ -1550,7 +1380,7 @@ mod tests {
         });
         let mut total = 0usize;
         let mut disagree = 0usize;
-        for seed in 0..4u64 {
+        for seed in 0..8u64 {
             let meter = noisy_meter(seed, 400).2;
             let a = f64_model.decode(&meter, &mut DecodeArena::new());
             let b = f32_model.decode(&meter, &mut DecodeArena::new());
@@ -1564,34 +1394,32 @@ mod tests {
     }
 
     #[test]
-    fn f32_batch_matches_f32_single() {
-        let fhmm = two_device_fhmm(FhmmConfig {
-            precision: DecodePrecision::F32,
-            ..FhmmConfig::default()
-        });
-        let meters: Vec<PowerTrace> = (0..5).map(|s| noisy_meter(s as u64, 200).2).collect();
-        let refs: Vec<&PowerTrace> = meters.iter().collect();
-        let batched = fhmm.decode_batch(&refs, &mut DecodeArena::new());
-        for (m, got) in meters.iter().zip(&batched) {
-            assert_eq!(*got, fhmm.decode(m, &mut DecodeArena::new()));
+    fn filter_and_its_checkpoint_reproduce_the_decode() {
+        // Chunked filter pushes must reproduce the batch decode at either
+        // precision, and so must a clone resumed mid-trace (the stream
+        // layer relies on both).
+        for precision in [DecodePrecision::F64, DecodePrecision::F32] {
+            let fhmm = two_device_fhmm(FhmmConfig {
+                precision,
+                ..FhmmConfig::default()
+            });
+            let meter = noisy_meter(7, 180).2;
+            let decoded = fhmm.decode(&meter, &mut DecodeArena::new());
+            let mut filter = fhmm.filter().unwrap();
+            let mut checkpoint = None;
+            for (t, &x) in meter.samples().iter().enumerate() {
+                filter.push(x);
+                if t == 90 {
+                    checkpoint = Some(filter.clone());
+                }
+            }
+            assert_eq!(filter.paths(), decoded, "{precision:?}");
+            let mut restored = checkpoint.unwrap();
+            for &x in &meter.samples()[91..] {
+                restored.push(x);
+            }
+            assert_eq!(restored.paths(), decoded, "{precision:?} resumed");
         }
-    }
-
-    #[test]
-    fn filter_precision_follows_config() {
-        // Chunked filter pushes must reproduce the batch decode under F32
-        // too (the stream layer relies on this equivalence).
-        let fhmm = two_device_fhmm(FhmmConfig {
-            precision: DecodePrecision::F32,
-            ..FhmmConfig::default()
-        });
-        let meter = noisy_meter(7, 150).2;
-        let batch = fhmm.decode(&meter, &mut DecodeArena::new());
-        let mut filter = fhmm.filter().unwrap();
-        for &x in meter.samples() {
-            filter.push(x);
-        }
-        assert_eq!(filter.paths(), batch);
     }
 
     #[test]
@@ -1605,6 +1433,6 @@ mod tests {
         fhmm.disaggregate_with(&meter, &mut arena);
         let report = obs::snapshot();
         obs::disable();
-        assert!(report.counter("decode.arena_reuse").unwrap_or(0) >= 1);
+        assert!(report.counter("nilm.decode.arena_reuse").unwrap_or(0) >= 1);
     }
 }

@@ -270,7 +270,7 @@ fn forward_backward_batch(
 /// Batched 2-state Viterbi in the SoA layout `delta[(t * 2 + s) * B + b]`;
 /// per lane byte-identical to [`Hmm2::viterbi`] (same `via0 >= via1`
 /// tie-break toward state 0).
-fn viterbi_batch(hmms: &[Hmm2], xs_list: &[&[f64]]) -> Vec<Vec<usize>> {
+fn viterbi_lanes(hmms: &[Hmm2], xs_list: &[&[f64]]) -> Vec<Vec<usize>> {
     let lanes = hmms.len();
     let n = xs_list[0].len();
     if n == 0 {
@@ -429,7 +429,7 @@ impl HmmDetector {
                 .collect();
             let xs_list: Vec<&[f64]> = means.iter().map(|m| m.as_slice()).collect();
             let hmms = self.fit_batch(&xs_list);
-            let paths = viterbi_batch(&hmms, &xs_list);
+            let paths = viterbi_lanes(&hmms, &xs_list);
             for ((&i, hmm), path) in idxs.iter().zip(&hmms).zip(&paths) {
                 let occupied_state = if hmm.mu[0] >= hmm.mu[1] { 0 } else { 1 };
                 out[i] = Some(self.labels_from_path(&lanes[i], path, occupied_state));
@@ -444,7 +444,7 @@ impl HmmDetector {
     /// window means, then runs [`detect_from_windows_batch`](Self::detect_from_windows_batch).
     pub fn detect_batch(&self, meters: &[&PowerTrace]) -> Vec<LabelSeries> {
         let _span = obs::span("niom.hmm.detect_batch");
-        obs::gauge_set("decode.batch_size", meters.len() as f64);
+        obs::gauge_set("niom.hmm.batch_size", meters.len() as f64);
         let windows: Vec<Vec<(usize, f64)>> = meters
             .iter()
             .map(|m| {

@@ -54,7 +54,7 @@ pub use chunk::{dense_samples, faulty_samples, Sample, StreamFill, StreamSpec};
 pub use defense_stream::{BatteryStream, ChprStream, DefenseStream};
 pub use ingest::{FillCheckpoint, WindowCheckpoint};
 pub use netsim_stream::{pair_accuracy, FingerprintStream, GatewayStream};
-pub use nilm_stream::{FhmmBatchStream, FhmmStream, PowerPlayStream};
+pub use nilm_stream::{FhmmStream, PowerPlayStream};
 pub use niom_stream::{HmmStream, LogisticStream, ThresholdStream};
 
 /// Per-chunk ingestion receipt: what [`StreamState::feed`] accepted.
@@ -134,10 +134,9 @@ pub trait StreamState: Clone {
     ///
     /// The default accounts only for `size_of::<Self>()`; states that
     /// buffer samples or window summaries override it to include their
-    /// heap. Implementations holding opaque sub-state (e.g. a borrowed
-    /// decode filter's scratch rows) may under-report; the value is a
-    /// lower bound meant for fleet memory accounting (`bytes/home` in
-    /// `docs/FLEET.md`), not an allocator audit.
+    /// heap. Implementations holding opaque sub-state may under-report;
+    /// the value is a lower bound meant for fleet memory accounting
+    /// (`bytes/home` in `docs/FLEET.md`), not an allocator audit.
     fn state_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
     }

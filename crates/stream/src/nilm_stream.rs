@@ -11,7 +11,8 @@
 use crate::chunk::{Sample, StreamFill, StreamSpec};
 use crate::ingest::{record_power_chunk, SampleBuf};
 use crate::{FeedReport, StreamState};
-use nilm::{DeviceEstimate, Disaggregator, Fhmm, FhmmBatchFilter, FhmmFilter, PowerPlay};
+use nilm::{DeviceEstimate, Disaggregator, Fhmm, FhmmFilter, PowerPlay};
+use std::borrow::Cow;
 use timeseries::{PipelineError, PowerTrace};
 
 use crate::chunk::FillState;
@@ -110,17 +111,18 @@ impl StreamState for FhmmStream<'_> {
     fn finalize(&self) -> Vec<DeviceEstimate> {
         obs::time("stream.finalize", || match &self.mode {
             FhmmMode::Exact { fill, filter } => {
+                // Only a held gap run needs a scratch copy to pad; the
+                // backpointer table is not copied otherwise.
                 let (pending, pad) = fill.flush();
-                let mut filter = filter.clone();
+                let mut filter = Cow::Borrowed(filter);
                 for _ in 0..pending {
-                    filter.push(pad);
+                    filter.to_mut().push(pad);
                 }
-                let paths = filter.paths();
                 self.fhmm.estimates_from_paths(
                     self.spec.start,
                     self.spec.resolution,
                     filter.len(),
-                    &paths,
+                    &filter.paths(),
                 )
             }
             FhmmMode::Buffered(buf) => {
@@ -129,6 +131,17 @@ impl StreamState for FhmmStream<'_> {
                 self.fhmm.disaggregate(&trace)
             }
         })
+    }
+
+    /// Counts the heap the decode holds: every resolved sample in
+    /// `Buffered` (ICM) mode, the filter's backpointer table (`4 × k` bytes
+    /// per sample) and score rows in `Exact` mode.
+    fn state_bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + match &self.mode {
+                FhmmMode::Exact { filter, .. } => filter.heap_bytes(),
+                FhmmMode::Buffered(buf) => buf.heap_bytes(),
+            }
     }
 
     fn try_finalize(&self) -> Result<Vec<DeviceEstimate>, PipelineError> {
@@ -145,225 +158,6 @@ impl StreamState for FhmmStream<'_> {
                 self.fhmm.try_disaggregate(&trace)
             }
         }
-    }
-}
-
-/// Streaming FHMM disaggregation over `B` homes at once through the
-/// multi-home SoA kernels ([`nilm::FhmmBatchFilter`]).
-///
-/// Lanes ingest independently (any chunking, any interleaving) through
-/// per-lane gap fill; whenever every lane has at least one resolved
-/// sample queued, the batched filter advances one synchronous row, so the
-/// decode state stays within one sample row of the slowest lane. The
-/// batching contract requires all lanes to finish at the same trace
-/// length. Per-lane results are byte-identical to a solo [`FhmmStream`]
-/// (and therefore to the batch decoder) on the same trace.
-///
-/// Models that fall back to ICM buffer per lane and replay
-/// [`nilm::Fhmm::disaggregate_batch`] at finalize. Cloning the stream
-/// checkpoints all lanes at once.
-#[derive(Debug, Clone)]
-pub struct FhmmBatchStream<'a> {
-    fhmm: &'a Fhmm,
-    spec: StreamSpec,
-    mode: BatchMode<'a>,
-}
-
-#[derive(Debug, Clone)]
-enum BatchMode<'a> {
-    /// Exact joint Viterbi advanced in lockstep rows across lanes.
-    Exact {
-        fills: Vec<FillState>,
-        /// Resolved samples not yet consumed by a lockstep row advance.
-        queues: Vec<std::collections::VecDeque<f64>>,
-        filter: FhmmBatchFilter<'a>,
-        row: Vec<f64>,
-    },
-    /// ICM needs whole traces: buffer per lane, batch-decode at finalize.
-    Buffered(Vec<SampleBuf>),
-}
-
-impl<'a> FhmmBatchStream<'a> {
-    /// Starts a batched stream over `fhmm` for `lanes` homes of clean
-    /// (gap-free) sample chunks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is zero.
-    pub fn new(fhmm: &'a Fhmm, spec: StreamSpec, lanes: usize) -> FhmmBatchStream<'a> {
-        FhmmBatchStream::with_fill_opt(fhmm, spec, lanes, None)
-    }
-
-    /// Starts a batched stream that resolves gap-marked samples with
-    /// `fill` before decoding.
-    pub fn with_fill(
-        fhmm: &'a Fhmm,
-        spec: StreamSpec,
-        lanes: usize,
-        fill: StreamFill,
-    ) -> FhmmBatchStream<'a> {
-        FhmmBatchStream::with_fill_opt(fhmm, spec, lanes, Some(fill))
-    }
-
-    fn with_fill_opt(
-        fhmm: &'a Fhmm,
-        spec: StreamSpec,
-        lanes: usize,
-        fill: Option<StreamFill>,
-    ) -> FhmmBatchStream<'a> {
-        assert!(lanes > 0, "batched stream needs at least one lane");
-        FhmmBatchStream {
-            fhmm,
-            spec,
-            mode: match fhmm.batch_filter(lanes) {
-                Some(filter) => BatchMode::Exact {
-                    fills: vec![FillState::new(fill); lanes],
-                    queues: (0..lanes)
-                        .map(|_| std::collections::VecDeque::new())
-                        .collect(),
-                    filter,
-                    row: vec![0.0; lanes],
-                },
-                None => BatchMode::Buffered((0..lanes).map(|_| SampleBuf::new(fill)).collect()),
-            },
-        }
-    }
-
-    /// Number of homes advancing through this stream.
-    pub fn lanes(&self) -> usize {
-        match &self.mode {
-            BatchMode::Exact { fills, .. } => fills.len(),
-            BatchMode::Buffered(bufs) => bufs.len(),
-        }
-    }
-
-    /// Whether this stream decodes incrementally (exact Viterbi) rather
-    /// than buffering for ICM.
-    pub fn incremental(&self) -> bool {
-        matches!(self.mode, BatchMode::Exact { .. })
-    }
-
-    /// Feeds one lane's next chunk. Lanes may be fed in any order and with
-    /// any per-lane chunking; the batched decode advances whenever every
-    /// lane has resolved samples available.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` is out of range.
-    pub fn feed_lane(&mut self, lane: usize, chunk: &[Sample]) -> FeedReport {
-        match &mut self.mode {
-            BatchMode::Exact {
-                fills,
-                queues,
-                filter,
-                row,
-            } => {
-                let fill = &mut fills[lane];
-                let queue = &mut queues[lane];
-                let mut gaps = 0;
-                for &s in chunk {
-                    if fill.is_gap(&s) {
-                        gaps += 1;
-                    }
-                    fill.push(s, &mut |v| queue.push_back(v));
-                }
-                record_power_chunk(chunk.len(), gaps);
-                // Lockstep: advance one SoA row per sample every lane has.
-                while queues.iter().all(|q| !q.is_empty()) {
-                    for (q, slot) in queues.iter_mut().zip(row.iter_mut()) {
-                        *slot = q.pop_front().expect("checked non-empty");
-                    }
-                    filter.push_row(row);
-                }
-                FeedReport {
-                    items: chunk.len(),
-                    gaps,
-                }
-            }
-            BatchMode::Buffered(bufs) => bufs[lane].feed(chunk),
-        }
-    }
-
-    /// Samples ingested on `lane` (counting any withheld by gap fill).
-    pub fn lane_items(&self, lane: usize) -> usize {
-        match &self.mode {
-            BatchMode::Exact {
-                fills,
-                queues,
-                filter,
-                ..
-            } => filter.len() + queues[lane].len() + fills[lane].flush().0,
-            BatchMode::Buffered(bufs) => bufs[lane].len(),
-        }
-    }
-
-    /// Finalizes every lane's decode into per-home estimates (outer index:
-    /// lane), byte-identical to batch-disaggregating each lane's resolved
-    /// trace. Does not consume the stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lanes did not ingest equal-length traces (the
-    /// batching contract).
-    pub fn finalize(&self) -> Vec<Vec<DeviceEstimate>> {
-        obs::time("stream.finalize", || match &self.mode {
-            BatchMode::Exact {
-                fills,
-                queues,
-                filter,
-                ..
-            } => {
-                // Flush each lane's held gap run, then drain the lockstep
-                // tail on clones so feeding may continue afterwards.
-                let mut queues: Vec<std::collections::VecDeque<f64>> = queues.clone();
-                for (q, fill) in queues.iter_mut().zip(fills) {
-                    let (pending, pad) = fill.flush();
-                    for _ in 0..pending {
-                        q.push_back(pad);
-                    }
-                }
-                let mut filter = filter.clone();
-                let mut row = vec![0.0; filter.lanes()];
-                while queues.iter().all(|q| !q.is_empty()) {
-                    for (q, slot) in queues.iter_mut().zip(row.iter_mut()) {
-                        *slot = q.pop_front().expect("checked non-empty");
-                    }
-                    filter.push_row(&row);
-                }
-                assert!(
-                    queues.iter().all(|q| q.is_empty()),
-                    "batched lanes must ingest equal-length traces"
-                );
-                let len = filter.len();
-                filter
-                    .paths()
-                    .iter()
-                    .map(|paths| {
-                        self.fhmm.estimates_from_paths(
-                            self.spec.start,
-                            self.spec.resolution,
-                            len,
-                            paths,
-                        )
-                    })
-                    .collect()
-            }
-            BatchMode::Buffered(bufs) => {
-                let traces: Vec<PowerTrace> = bufs
-                    .iter()
-                    .map(|buf| {
-                        PowerTrace::new(self.spec.start, self.spec.resolution, buf.resolved())
-                            .expect("resolved stream samples form a valid trace")
-                    })
-                    .collect();
-                assert!(
-                    traces.iter().all(|t| t.len() == traces[0].len()),
-                    "batched lanes must ingest equal-length traces"
-                );
-                let refs: Vec<&PowerTrace> = traces.iter().collect();
-                nilm::with_thread_arena(|arena| self.fhmm.disaggregate_batch(&refs, arena))
-            }
-        })
     }
 }
 
@@ -495,71 +289,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_stream_matches_solo_streams() {
-        let (models, meter) = two_device_setup();
-        let fhmm = Fhmm::new(models);
-        // Three lanes: the meter plus two shifted variants.
-        let meters: Vec<PowerTrace> = (0..3).map(|s| meter.map(|w| w + s as f64 * 35.0)).collect();
-        let batch: Vec<Vec<DeviceEstimate>> = meters.iter().map(|m| fhmm.disaggregate(m)).collect();
-
-        let mut stream = FhmmBatchStream::new(&fhmm, StreamSpec::of_trace(&meter), 3);
-        assert!(stream.incremental());
-        // Ragged interleaved chunking: lanes advance at different rates.
-        let chunk_lens = [17usize, 60, 233];
-        let mut at = [0usize; 3];
-        while at.iter().any(|&a| a < 600) {
-            for lane in 0..3 {
-                if at[lane] < 600 {
-                    let end = (at[lane] + chunk_lens[lane]).min(600);
-                    let samples = dense_samples(&meters[lane].samples()[at[lane]..end]);
-                    stream.feed_lane(lane, &samples);
-                    at[lane] = end;
-                }
-            }
-        }
-        for lane in 0..3 {
-            assert_eq!(stream.lane_items(lane), 600);
-        }
-        assert_eq!(stream.finalize(), batch);
-    }
-
-    #[test]
-    fn batch_stream_buffered_icm_matches_batch() {
-        let (models, meter) = two_device_setup();
-        let fhmm = Fhmm::with_config(
-            models,
-            FhmmConfig {
-                max_exact_states: 1,
-                ..FhmmConfig::default()
-            },
-        );
-        let meters: Vec<PowerTrace> = (0..2).map(|s| meter.map(|w| w + s as f64 * 20.0)).collect();
-        let mut stream = FhmmBatchStream::new(&fhmm, StreamSpec::of_trace(&meter), 2);
-        assert!(!stream.incremental());
-        for (lane, m) in meters.iter().enumerate() {
-            stream.feed_lane(lane, &dense_samples(m.samples()));
-        }
-        let want: Vec<Vec<DeviceEstimate>> = meters.iter().map(|m| fhmm.disaggregate(m)).collect();
-        assert_eq!(stream.finalize(), want);
-    }
-
-    #[test]
-    fn batch_stream_checkpoint_resumes() {
-        let (models, meter) = two_device_setup();
-        let fhmm = Fhmm::new(models);
-        let samples = dense_samples(meter.samples());
-        let mut stream = FhmmBatchStream::new(&fhmm, StreamSpec::of_trace(&meter), 2);
-        stream.feed_lane(0, &samples[..300]);
-        stream.feed_lane(1, &samples[..250]);
-        // Checkpoint mid-trace (lanes intentionally uneven), then resume.
-        let mut restored = stream.clone();
-        restored.feed_lane(0, &samples[300..]);
-        restored.feed_lane(1, &samples[250..]);
-        let solo = fhmm.disaggregate(&meter);
-        assert_eq!(restored.finalize(), vec![solo.clone(), solo]);
-    }
-
-    #[test]
     fn mid_stream_finalize_matches_batch_prefix() {
         let (models, meter) = two_device_setup();
         let fhmm = Fhmm::new(models);
@@ -573,5 +302,35 @@ mod tests {
         )
         .unwrap();
         assert_eq!(s.finalize(), fhmm.disaggregate(&prefix));
+    }
+
+    #[test]
+    fn fhmm_state_bytes_track_buffered_samples_and_backpointers() {
+        let (models, meter) = two_device_setup();
+        let day = PowerTrace::from_fn(meter.start(), meter.resolution(), 1_440, |i| {
+            meter.samples()[i % meter.len()]
+        });
+        let samples = dense_samples(day.samples());
+        let icm = Fhmm::with_config(
+            models.clone(),
+            FhmmConfig {
+                max_exact_states: 1,
+                ..FhmmConfig::default()
+            },
+        );
+        let exact = Fhmm::new(models);
+        let k = exact.joint_states();
+        for (fhmm, per_sample) in [(&icm, 8), (&exact, 4 * k)] {
+            let mut s = FhmmStream::new(fhmm, StreamSpec::of_trace(&day));
+            let empty = s.state_bytes();
+            assert!(empty >= std::mem::size_of::<FhmmStream>());
+            feed_chunked(&mut s, &samples, 60);
+            let full = s.state_bytes();
+            assert!(
+                full >= empty + 1_440 * per_sample,
+                "incremental {}: {empty} -> {full}",
+                s.incremental()
+            );
+        }
     }
 }
