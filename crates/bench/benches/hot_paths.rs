@@ -3,7 +3,8 @@
 //! streaming ingestion layer (the kernels behind the
 //! `stream_throughput` experiment, including its `--metrics` mode), and
 //! the `fleetd` checkpoint bytes: the frame CRC, framing a checkpoint on
-//! eviction and validating it on rehydration.
+//! eviction, validating it on rehydration, and the whole evict →
+//! rehydrate cycle of one home.
 //!
 //! The FHMM cases reuse one trained model set and one simulated day of
 //! meter data so that run-to-run numbers compare the decode kernels, not
@@ -162,7 +163,7 @@ fn bench_hot_paths(c: &mut Criterion) {
     let history: Vec<f64> = (0..200 * detector.window)
         .map(|i| 150.0 + ((i * 37) % 900) as f64)
         .collect();
-    let mut home_stream = ThresholdStream::new(detector, day_spec);
+    let mut home_stream = ThresholdStream::new(detector.clone(), day_spec);
     home_stream.feed(&dense_samples(&history));
     let cp = home_stream.compact_checkpoint();
     assert_eq!(cp.closed.len(), 200);
@@ -174,6 +175,23 @@ fn bench_hot_paths(c: &mut Criterion) {
     let frame = fleetd::store::frame_checkpoint(42, 7, &cp);
     c.bench_function("fleetd/validate_frame_200_windows", |b| {
         b.iter(|| fleetd::store::validate_frame(&frame, 42, 7).expect("valid frame"))
+    });
+
+    // What the service does per cold home and round, minus the feed and
+    // the store: consume the stream into its frame, then validate the
+    // frame and move the decoded history into a new stream.
+    c.bench_function("fleetd/evict_rehydrate_200_windows", |b| {
+        let mut live = Some(home_stream.clone());
+        b.iter(|| {
+            let stream = live.take().expect("restored by the previous cycle");
+            let frame = fleetd::store::frame_checkpoint(42, 7, &stream.into_compact());
+            let cp = fleetd::store::validate_frame(&frame, 42, 7).expect("valid frame");
+            live = Some(ThresholdStream::from_compact_owned(
+                detector.clone(),
+                day_spec,
+                cp,
+            ));
+        })
     });
 }
 

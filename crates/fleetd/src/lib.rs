@@ -21,10 +21,12 @@
 //! * Home → shard assignment is `home % shards`, a pure function of the
 //!   configuration — never of thread count.
 //! * Shards are data-parallel and independent: a round admits each
-//!   shard's homes on one worker, in home order, so per-shard state and
-//!   eviction decisions are identical at any `RAYON_NUM_THREADS`.
-//! * Eviction is a per-shard policy (lowest home index first, once the
-//!   shard exceeds its share of [`FleetdConfig::resident_cap`]) over
+//!   shard's homes on one worker, in descending home order, so per-shard
+//!   state and eviction decisions are identical at any
+//!   `RAYON_NUM_THREADS`.
+//! * Eviction is a per-shard policy (each shard keeps its share of
+//!   [`FleetdConfig::resident_cap`] as its highest-index live homes and
+//!   evicts every other home as soon as it has been fed) over
 //!   checkpoints proven byte-identical on restore — so the digest of a
 //!   capped fleet equals the digest of an always-resident one
 //!   (`fleet.resident-evict-identical`).
@@ -57,9 +59,12 @@
 //! `docs/OBSERVABILITY.md` for the exposition format.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+// The frame CRC's carry-less-multiply kernel needs `unsafe` for its
+// intrinsics; `crc::clmul` is the one module allowed it.
+#![deny(unsafe_code)]
 
 pub mod codec;
+mod crc;
 mod extrap;
 mod gen;
 mod metrics;

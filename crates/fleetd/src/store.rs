@@ -25,9 +25,10 @@
 //!
 //! Every eviction frames a checkpoint and every rehydration checks one,
 //! so the bytes are kept cheap: [`frame_checkpoint`] encodes the payload
-//! straight after the header, [`crc32`] is slicing-by-16 and folds the
-//! header fields and the payload as two slices, and [`validate_frame`]
-//! checks the frame where it lies. Neither direction copies the payload.
+//! straight after the header, [`crc32`] folds the header fields and the
+//! payload as two slices (carry-less multiplies on x86-64 CPUs that have
+//! them, slicing-by-16 elsewhere), and [`validate_frame`] checks the
+//! frame where it lies. Neither direction copies the payload.
 //!
 //! [`CheckpointStore`] abstracts where frames live: [`MemoryStore`]
 //! keeps them in process memory (today's behavior), [`DurableStore`]
@@ -37,12 +38,15 @@
 //! them per shard; `docs/FLEET.md` documents the recovery lifecycle.
 
 use crate::codec;
+use crate::crc;
 use faults::StoreFaultInjector;
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use stream::WindowCheckpoint;
+
+pub use crate::crc::crc32;
 
 /// First four bytes of every stored frame.
 pub const FRAME_MAGIC: [u8; 4] = *b"FDS1";
@@ -55,78 +59,6 @@ pub const MANIFEST_MAGIC: [u8; 4] = *b"FDM1";
 
 /// File name of the manifest inside a durable fleet root.
 pub const MANIFEST_FILE: &str = "MANIFEST";
-
-/// Slicing-by-16 lookup tables for [`crc32`], built at compile time.
-/// Table 0 is the classic byte-at-a-time table; table `k` advances a
-/// byte through `k` further zero bytes, so 16 lookups fold 16 input
-/// bytes into the register at once.
-const CRC32_TABLES: [[u32; 256]; 16] = {
-    let mut tables = [[0u32; 256]; 16];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-            bit += 1;
-        }
-        tables[0][i] = crc;
-        i += 1;
-    }
-    let mut k = 1;
-    while k < 16 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[k - 1][i];
-            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
-            i += 1;
-        }
-        k += 1;
-    }
-    tables
-};
-
-/// Folds `bytes` into the CRC32 register `crc` (pre-inversion state:
-/// start from `!0`, finish with `!`), so one checksum can cover
-/// non-contiguous slices without copying them together.
-fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
-    let t = &CRC32_TABLES;
-    let mut blocks = bytes.chunks_exact(16);
-    for b in &mut blocks {
-        let lo = crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-        crc = t[15][(lo & 0xFF) as usize]
-            ^ t[14][((lo >> 8) & 0xFF) as usize]
-            ^ t[13][((lo >> 16) & 0xFF) as usize]
-            ^ t[12][(lo >> 24) as usize]
-            ^ t[11][b[4] as usize]
-            ^ t[10][b[5] as usize]
-            ^ t[9][b[6] as usize]
-            ^ t[8][b[7] as usize]
-            ^ t[7][b[8] as usize]
-            ^ t[6][b[9] as usize]
-            ^ t[5][b[10] as usize]
-            ^ t[4][b[11] as usize]
-            ^ t[3][b[12] as usize]
-            ^ t[2][b[13] as usize]
-            ^ t[1][b[14] as usize]
-            ^ t[0][b[15] as usize];
-    }
-    for &b in blocks.remainder() {
-        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
-    }
-    crc
-}
-
-/// CRC32 (IEEE 802.3, reflected, polynomial `0xEDB88320`) of `bytes`.
-///
-/// Slicing-by-16 over compile-time tables (16 bytes per step): every
-/// eviction and rehydration checksums a whole frame, so this sits on
-/// the admission hot path. Matches the ubiquitous zlib/`cksum -o 3`
-/// definition, so stored frames can be triaged with standard tooling.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    !crc32_update(!0, bytes)
-}
 
 /// Why a byte buffer failed to parse as a stored frame (or manifest).
 ///
@@ -218,7 +150,7 @@ fn write_header(out: &mut Vec<u8>, home: u64, generation: u64, payload_len: usiz
 
 /// CRC of a frame: `home‖gen‖len` from the header, then the payload.
 fn frame_crc(header: &[u8], payload: &[u8]) -> u32 {
-    !crc32_update(crc32_update(!0, &header[4..24]), payload)
+    !crc::update(crc::update(!0, &header[4..24]), payload)
 }
 
 /// Writes the CRC of a complete frame (header + payload) into its
@@ -826,62 +758,6 @@ mod tests {
             open: vec![120.0, 0.0, 950.25],
             closed: Vec::new(),
         })
-    }
-
-    /// Bit-at-a-time CRC32 (IEEE, reflected), straight from the
-    /// polynomial: the reference the table kernel must reproduce.
-    fn crc32_bitwise(bytes: &[u8]) -> u32 {
-        let mut crc = !0u32;
-        for &b in bytes {
-            crc ^= b as u32;
-            for _ in 0..8 {
-                crc = if crc & 1 == 1 {
-                    (crc >> 1) ^ 0xEDB8_8320
-                } else {
-                    crc >> 1
-                };
-            }
-        }
-        !crc
-    }
-
-    fn test_bytes(n: usize) -> Vec<u8> {
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        (0..n)
-            .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                (state >> 24) as u8
-            })
-            .collect()
-    }
-
-    #[test]
-    fn crc32_known_answers() {
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-    }
-
-    #[test]
-    fn slicing_by_16_matches_bitwise_reference() {
-        let bytes = test_bytes(1024);
-        for len in 0..=bytes.len() {
-            assert_eq!(
-                crc32(&bytes[..len]),
-                crc32_bitwise(&bytes[..len]),
-                "len {len}"
-            );
-        }
-        let whole = crc32_bitwise(&bytes);
-        for split in 0..=bytes.len() {
-            let (a, b) = bytes.split_at(split);
-            assert_eq!(
-                !crc32_update(crc32_update(!0, a), b),
-                whole,
-                "split {split}"
-            );
-        }
     }
 
     fn golden_checkpoint() -> WindowCheckpoint {

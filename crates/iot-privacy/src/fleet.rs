@@ -146,9 +146,10 @@ pub struct FleetResult {
     pub summary: FleetSummary,
 }
 
-/// The derived seed for home `index` under `root`.
+/// The derived seed for home `index` under `root`
+/// (`derive_seed(root, "home:<index>")`, see [`timeseries::rng::home_seed`]).
 pub fn home_seed(root: u64, index: usize) -> u64 {
-    derive_seed(root, &format!("home:{index}"))
+    timeseries::rng::home_seed(root, index)
 }
 
 /// Runs `homes` independent scenarios concurrently.

@@ -200,37 +200,40 @@ impl WindowBuf {
             + self.closed.capacity() * std::mem::size_of::<Summary>()
     }
 
-    /// Snapshots the mutable ingestion state as a [`WindowCheckpoint`].
-    pub(crate) fn to_compact(&self) -> WindowCheckpoint {
+    /// Turns the accumulator into its [`WindowCheckpoint`], moving the
+    /// closed-window history rather than copying it.
+    pub(crate) fn into_compact(self) -> WindowCheckpoint {
         WindowCheckpoint {
             fill: self.fill.to_compact(),
-            open: self.open.clone(),
-            closed: self.closed.clone(),
+            open: self.open,
+            closed: self.closed,
         }
     }
 
     /// Rebuilds the accumulator from a checkpoint taken by
-    /// [`to_compact`](WindowBuf::to_compact) on an identically configured
-    /// stream (same `window`).
+    /// [`into_compact`](WindowBuf::into_compact) on an identically
+    /// configured stream (same `window`). The closed-window history is
+    /// moved in; the open window gets its full `window` capacity back,
+    /// as in a live accumulator.
     ///
     /// # Panics
     ///
     /// Panics if `window` is zero or the checkpoint's open window is
     /// already full (it can never hold `window` samples).
-    pub(crate) fn from_compact(window: usize, cp: &WindowCheckpoint) -> WindowBuf {
+    pub(crate) fn from_compact(window: usize, cp: WindowCheckpoint) -> WindowBuf {
         assert!(window > 0, "window must be non-empty");
         assert!(
             cp.open.len() < window,
             "open window of {} samples cannot belong to a window of {window}",
             cp.open.len()
         );
-        let mut open = Vec::with_capacity(window);
-        open.extend_from_slice(&cp.open);
+        let mut open = cp.open;
+        open.reserve_exact(window - open.len());
         WindowBuf {
             fill: FillState::from_compact(cp.fill),
             window,
             open,
-            closed: cp.closed.clone(),
+            closed: cp.closed,
         }
     }
 
@@ -280,7 +283,7 @@ mod tests {
             assert_eq!(windows, batch, "len {len}");
             // The starts are derived, not stored: a restored buffer must
             // still place every window where `WindowStats` does.
-            let restored = WindowBuf::from_compact(15, &buf.to_compact());
+            let restored = WindowBuf::from_compact(15, buf.clone().into_compact());
             assert_eq!(
                 restored.windows_and_len(),
                 (batch, len),
@@ -321,9 +324,10 @@ mod tests {
 
             let mut head = WindowBuf::new(fill, 15);
             head.feed(&samples[..split]);
-            let cp = head.to_compact();
-            let mut resumed = WindowBuf::from_compact(15, &cp);
+            let cp = head.clone().into_compact();
+            let mut resumed = WindowBuf::from_compact(15, cp);
             assert_eq!(resumed, head, "restore must be exact ({fill:?}/{split})");
+            assert_eq!(resumed.open.capacity(), 15, "a live open window's capacity");
             resumed.feed(&samples[split..]);
             assert_eq!(
                 resumed.windows_and_len(),
@@ -337,10 +341,10 @@ mod tests {
     fn compact_checkpoint_preserves_open_hold_run() {
         let mut buf = WindowBuf::new(Some(StreamFill::Hold), 4);
         buf.feed(&[Sample::gap(), Sample::gap(), Sample::gap()]);
-        let cp = buf.to_compact();
+        let cp = buf.clone().into_compact();
         assert_eq!(cp.fill, FillCheckpoint::HoldPending(3));
         assert!(cp.open.is_empty() && cp.closed.is_empty());
-        let mut resumed = WindowBuf::from_compact(4, &cp);
+        let mut resumed = WindowBuf::from_compact(4, cp);
         resumed.feed(&[Sample::valid(80.0)]);
         buf.feed(&[Sample::valid(80.0)]);
         assert_eq!(resumed.windows_and_len(), buf.windows_and_len());
@@ -354,7 +358,7 @@ mod tests {
             open: vec![1.0, 2.0, 3.0],
             closed: Vec::new(),
         };
-        let _ = WindowBuf::from_compact(3, &cp);
+        let _ = WindowBuf::from_compact(3, cp);
     }
 
     #[test]

@@ -56,17 +56,26 @@ macro_rules! niom_stream {
             /// Snapshots the stream's mutable ingestion state as a
             /// [`WindowCheckpoint`](crate::WindowCheckpoint) — everything
             /// beyond the (immutable) detector and [`StreamSpec`], in a
-            /// serialization-friendly shape. The eviction target of the
-            /// resident fleet service (`crates/fleetd`).
+            /// serialization-friendly shape. Copies the window history;
+            /// [`into_compact`](Self::into_compact) moves it.
             pub fn compact_checkpoint(&self) -> crate::WindowCheckpoint {
-                self.ingest.to_compact()
+                self.ingest.clone().into_compact()
+            }
+
+            /// Consumes the stream into its compact checkpoint (what
+            /// [`compact_checkpoint`](Self::compact_checkpoint) returns)
+            /// without copying the closed-window history. The eviction
+            /// path of the resident fleet service (`crates/fleetd`).
+            pub fn into_compact(self) -> crate::WindowCheckpoint {
+                self.ingest.into_compact()
             }
 
             /// Rebuilds a stream from a compact checkpoint taken by
             /// [`compact_checkpoint`](Self::compact_checkpoint) on a
             /// stream with the same detector configuration. Feeding the
             /// remaining samples yields byte-identical output to the
-            /// never-checkpointed stream.
+            /// never-checkpointed stream. Copies the checkpoint;
+            /// [`from_compact_owned`](Self::from_compact_owned) moves it.
             ///
             /// # Panics
             ///
@@ -76,6 +85,21 @@ macro_rules! niom_stream {
                 detector: $detector,
                 spec: StreamSpec,
                 cp: &crate::WindowCheckpoint,
+            ) -> $name {
+                Self::from_compact_owned(detector, spec, cp.clone())
+            }
+
+            /// [`from_compact`](Self::from_compact) that moves the
+            /// checkpoint's vectors into the stream instead of copying
+            /// them. The rehydration path of the resident fleet service.
+            ///
+            /// # Panics
+            ///
+            /// As [`from_compact`](Self::from_compact).
+            pub fn from_compact_owned(
+                detector: $detector,
+                spec: StreamSpec,
+                cp: crate::WindowCheckpoint,
             ) -> $name {
                 let window = detector.window;
                 $name {
@@ -215,10 +239,35 @@ mod tests {
         let full = s.finalize();
 
         let mut resumed =
-            ThresholdStream::from_compact(detector, StreamSpec::of_trace(&trace), &cp);
+            ThresholdStream::from_compact(detector.clone(), StreamSpec::of_trace(&trace), &cp);
         assert_eq!(resumed.items(), 700, "restore must land mid-trace");
         resumed.feed(&samples[700..]);
         assert_eq!(resumed.finalize(), full);
+
+        // The owning forms: the consumed stream yields the same
+        // checkpoint, and restoring by move resumes identically.
+        let spec = StreamSpec::of_trace(&trace);
+        let mut head = ThresholdStream::new(detector.clone(), spec);
+        head.feed(&samples[..700]);
+        let moved = head.into_compact();
+        assert_eq!(moved, cp);
+        let mut owned = ThresholdStream::from_compact_owned(detector.clone(), spec, moved);
+        assert_eq!(
+            owned,
+            ThresholdStream::from_compact(detector.clone(), spec, &cp)
+        );
+        owned.feed(&samples[700..]);
+        assert_eq!(owned.finalize(), full);
+
+        // A decoded checkpoint's vectors are exactly full; restoring one
+        // gives the open window back its `window` capacity and keeps the
+        // history as is, so resident bytes do not depend on the path.
+        let window = detector.window;
+        let restored = ThresholdStream::from_compact_owned(detector, spec, cp.clone());
+        assert_eq!(
+            restored.state_bytes(),
+            std::mem::size_of::<ThresholdStream>() + window * 8 + cp.closed.len() * 40
+        );
     }
 
     #[test]

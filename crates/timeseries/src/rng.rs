@@ -24,13 +24,43 @@ pub fn seeded_rng(seed: u64) -> SeededRng {
 /// `u64`, so distinct `(seed, label)` pairs never collide by construction of
 /// the pre-mix alone.
 pub fn derive_seed(root: u64, label: &str) -> u64 {
+    derive_seed_bytes(root, label.as_bytes())
+}
+
+/// [`derive_seed`] over a label given as bytes.
+fn derive_seed_bytes(root: u64, label: &[u8]) -> u64 {
     // FNV-1a over the label, mixed into the root.
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in label.bytes() {
+    for &b in label {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     splitmix64(root ^ h)
+}
+
+/// The seed of home `index` under `root`: bit-identical to
+/// `derive_seed(root, &format!("home:{index}"))`, the per-home scheme of
+/// the fleet engines, but the label is written into a stack buffer, so
+/// deriving a seed per home per round allocates nothing.
+pub fn home_seed(root: u64, index: usize) -> u64 {
+    const PREFIX: &[u8] = b"home:";
+    const DIGITS: usize = usize::MAX.ilog10() as usize + 1;
+    let mut buf = [0u8; PREFIX.len() + DIGITS];
+    // Decimal digits right-aligned at the end of the buffer, then the
+    // prefix in front of the first one.
+    let mut at = buf.len();
+    let mut n = index;
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    at -= PREFIX.len();
+    buf[at..at + PREFIX.len()].copy_from_slice(PREFIX);
+    derive_seed_bytes(root, &buf[at..])
 }
 
 /// Derives the seed for one `(round, item)` cell of a per-round training
@@ -133,6 +163,19 @@ mod tests {
         // format keeps pre-existing per-round streams byte-identical.
         assert_eq!(round_seed(7, 2, 3), derive_seed(7, "round:2:home:3"));
         assert_ne!(round_seed(7, 2, 3), round_seed(7, 3, 2));
+    }
+
+    #[test]
+    fn home_seed_matches_label_form() {
+        for index in [0, 9, 10, 99, 100, 65_535, 1_000_000, usize::MAX] {
+            for root in [0, 7, u64::MAX] {
+                assert_eq!(
+                    home_seed(root, index),
+                    derive_seed(root, &format!("home:{index}")),
+                    "root {root} index {index}"
+                );
+            }
+        }
     }
 
     #[test]
