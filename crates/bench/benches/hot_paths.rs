@@ -13,17 +13,15 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use iot_privacy::homesim::{Home, HomeConfig};
 use iot_privacy::loads::Catalogue;
-use iot_privacy::nilm::{
-    train_device_hmm, DecodeArena, DecodePrecision, Disaggregator, Fhmm, FhmmConfig,
-};
+use iot_privacy::nilm::{train_device_hmm, Disaggregator, Fhmm, FhmmConfig};
 use iot_privacy::niom::ThresholdDetector;
+use iot_privacy::run_fleet;
 use iot_privacy::scenario::EnergyScenario;
 use iot_privacy::stream::{
     dense_samples, feed_chunked, FhmmStream, StreamSpec, StreamState, ThresholdStream,
 };
 use iot_privacy::streaming::StreamingScenario;
 use iot_privacy::timeseries::PowerTrace;
-use iot_privacy::{run_fleet, run_fleet_streaming, SupervisorConfig};
 
 fn bench_hot_paths(c: &mut Criterion) {
     let tracked = Catalogue::figure2();
@@ -53,42 +51,22 @@ fn bench_hot_paths(c: &mut Criterion) {
     });
 
     // Home-by-home decode of many meters through one model (4 devices,
-    // 16 joint states — the stream_throughput decode-section shape). The
-    // shared arena outside b.iter is the intended production lifecycle:
-    // one warm allocation serving every home.
-    let kernel_models: Vec<_> = models.iter().take(4).cloned().collect();
-    let f64_kernel = Fhmm::new(kernel_models.clone());
-    let f32_kernel = Fhmm::with_config(
-        kernel_models,
-        FhmmConfig {
-            precision: DecodePrecision::F32,
-            ..FhmmConfig::default()
-        },
-    );
+    // 16 joint states — the stream_throughput decode-section shape). Every
+    // decode after the first reuses this thread's warm decode scratch.
+    let kernel = Fhmm::new(models.iter().take(4).cloned().collect());
     let kernel_meters: Vec<PowerTrace> = (0..128)
         .map(|i| day.map(|w| w + (i % 13) as f64 * 3.5))
         .collect();
 
     for &homes in &[8usize, 32, 128] {
-        let refs: Vec<&PowerTrace> = kernel_meters[..homes].iter().collect();
-
+        let meters = &kernel_meters[..homes];
         c.bench_function(&format!("fhmm/decode_{homes}_homes_single_f64"), |b| {
-            let mut arena = DecodeArena::new();
-            b.iter(|| {
-                refs.iter()
-                    .map(|m| f64_kernel.decode(m, &mut arena))
-                    .collect::<Vec<_>>()
-            })
+            b.iter(|| meters.iter().map(|m| kernel.decode(m)).collect::<Vec<_>>())
         });
     }
 
-    c.bench_function("fhmm/decode_1_home_single_f32", |b| {
-        let mut arena = DecodeArena::new();
-        b.iter(|| f32_kernel.decode(&kernel_meters[0], &mut arena))
-    });
-
     c.bench_function("fleet/10_homes_1_day", |b| {
-        b.iter(|| run_fleet(10, 7, |seed| EnergyScenario::new(seed).days(1)))
+        b.iter(|| run_fleet(10, 7, |a| EnergyScenario::new(a.seed).days(1).run()))
     });
 
     // Same fleet with the obs layer recording — the measured number backs
@@ -98,7 +76,7 @@ fn bench_hot_paths(c: &mut Criterion) {
         iot_privacy::obs::enable();
         b.iter(|| {
             iot_privacy::obs::reset();
-            run_fleet(10, 7, |seed| EnergyScenario::new(seed).days(1))
+            run_fleet(10, 7, |a| EnergyScenario::new(a.seed).days(1).run())
         });
         iot_privacy::obs::disable();
         iot_privacy::obs::reset();
@@ -131,8 +109,8 @@ fn bench_hot_paths(c: &mut Criterion) {
     // streaming fleet at one-hour chunks.
     c.bench_function("stream/fleet_10_homes_1_day_chunk60", |b| {
         b.iter(|| {
-            run_fleet_streaming(10, 7, SupervisorConfig::default(), |a| {
-                StreamingScenario::new(a.seed).days(1).chunk_len(60)
+            run_fleet(10, 7, |a| {
+                StreamingScenario::new(a.seed).days(1).chunk_len(60).run()
             })
         })
     });
@@ -143,8 +121,8 @@ fn bench_hot_paths(c: &mut Criterion) {
         iot_privacy::obs::enable();
         b.iter(|| {
             iot_privacy::obs::reset();
-            run_fleet_streaming(10, 7, SupervisorConfig::default(), |a| {
-                StreamingScenario::new(a.seed).days(1).chunk_len(60)
+            run_fleet(10, 7, |a| {
+                StreamingScenario::new(a.seed).days(1).chunk_len(60).run()
             })
         });
         iot_privacy::obs::disable();

@@ -30,7 +30,7 @@ use iot_privacy::niom::{OccupancyDetector, ThresholdDetector};
 use iot_privacy::scenario::EnergyScenario;
 use iot_privacy::timeseries::rng::seeded_rng;
 use iot_privacy::timeseries::{LabelSeries, Resolution, Timestamp};
-use iot_privacy::{run_fleet_supervised, HomeAttempt, SupervisorConfig};
+use iot_privacy::{run_fleet, HomeAttempt};
 
 /// The swept corruption levels (fraction of the trace each fault family
 /// targets; see [`faults::FaultPlan::power_profile`]).
@@ -121,17 +121,12 @@ pub fn run(cfg: &RunConfig) -> Report {
     }
 
     // -- fleet supervision under injected panics --------------------------
-    let supervised = run_fleet_supervised(
-        FLEET_HOMES,
-        cfg.seed(7),
-        SupervisorConfig::default(),
-        |attempt: HomeAttempt| {
-            if attempt.home % 10 == 3 {
-                panic!("injected fault in home {}", attempt.home);
-            }
-            EnergyScenario::new(attempt.seed).days(1)
-        },
-    )
+    let supervised = run_fleet(FLEET_HOMES, cfg.seed(7), |attempt: HomeAttempt| {
+        if attempt.home % 10 == 3 {
+            panic!("injected fault in home {}", attempt.home);
+        }
+        EnergyScenario::new(attempt.seed).days(1).run()
+    })
     .expect("some homes survive");
     let quarantined_homes: Vec<usize> = supervised.quarantined.iter().map(|q| q.home).collect();
 

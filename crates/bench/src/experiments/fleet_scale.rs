@@ -1,13 +1,14 @@
-//! Fleet-scale throughput: homes/sec for the parallel scenario engine vs
-//! the serial reference at fleet sizes 10, 100, and 1000.
+//! Fleet-scale throughput: homes/sec for the scenario fleet engine at
+//! fleet sizes 10, 100, and 1000.
 //!
 //! Each home is an independent 1-day Figure-6 scenario (simulate → NIOM
-//! attack → CHPr → attack again). The parallel and serial engines produce
-//! bit-identical results (asserted here on every run); the only thing the
+//! attack → CHPr → attack again), run through [`run_fleet`]. The fleet
+//! is byte-identical at every thread count
+//! (`crates/iot-privacy/tests/fleet_determinism.rs`); the only thing the
 //! thread pool buys is wall-clock time.
 //!
 //! With the [`obs`] layer enabled (the binary's `--metrics <path>` flag)
-//! the run additionally breaks each parallel run down per pipeline stage
+//! the run additionally breaks each fleet run down per pipeline stage
 //! (homes/sec through simulate, attack, defend) — stage seconds are
 //! summed across worker threads, so they are cumulative CPU-seconds, not
 //! wall-clock.
@@ -30,7 +31,7 @@ use super::{Report, RunConfig};
 use crate::table::{Cell, ThroughputTable};
 use fleetd::{extrapolate, top_rung, FleetService, FleetdConfig, Observation};
 use iot_privacy::scenario::EnergyScenario;
-use iot_privacy::{obs, run_fleet, run_fleet_serial};
+use iot_privacy::{obs, run_fleet};
 use std::time::Instant;
 
 const ROOT_SEED: u64 = 7;
@@ -70,45 +71,28 @@ fn stage_deltas(before: &obs::MetricsReport, after: &obs::MetricsReport) -> Vec<
 /// Runs the fleet-throughput benchmark.
 pub fn run(cfg: &RunConfig) -> Report {
     let root_seed = cfg.seed(ROOT_SEED);
-    let build = move |seed: u64| EnergyScenario::new(seed).days(1);
     let threads = rayon::current_num_threads();
 
     let mut rows = Vec::new();
     let mut json = Vec::new();
     let mut stage_rows = Vec::new();
     for homes in [10usize, 100, 1000] {
-        let t = Instant::now();
-        let serial = run_fleet_serial(homes, root_seed, build).expect("non-empty fleet");
-        let serial_s = t.elapsed().as_secs_f64();
-
-        // Snapshot around the parallel run only, so the per-stage delta
-        // excludes the serial reference's contribution.
         let before = obs::is_enabled().then(obs::snapshot);
         let t = Instant::now();
-        let parallel = run_fleet(homes, root_seed, build).expect("non-empty fleet");
-        let parallel_s = t.elapsed().as_secs_f64();
+        let fleet = run_fleet(homes, root_seed, |a| {
+            EnergyScenario::new(a.seed).days(1).run()
+        })
+        .expect("non-empty fleet");
+        let seconds = t.elapsed().as_secs_f64();
+        assert!(fleet.quarantined.is_empty(), "no home may fail");
 
-        assert_eq!(
-            parallel, serial,
-            "parallel fleet must match the serial reference"
-        );
-
-        let speedup = serial_s / parallel_s;
-        let homes_per_sec = homes as f64 / parallel_s;
-        rows.push(vec![
-            format!("{homes}"),
-            format!("{:.0}", homes as f64 / serial_s),
-            format!("{homes_per_sec:.0}"),
-            format!("{speedup:.2}x"),
-        ]);
+        let homes_per_sec = homes as f64 / seconds;
+        rows.push(vec![format!("{homes}"), format!("{homes_per_sec:.0}")]);
         let mut size_json = serde_json::json!({
             "homes": homes,
-            "serial_seconds": serial_s,
-            "parallel_seconds": parallel_s,
-            "serial_homes_per_sec": homes as f64 / serial_s,
+            "parallel_seconds": seconds,
             "parallel_homes_per_sec": homes_per_sec,
-            "speedup": speedup,
-            "summary": serde_json::to_value(&parallel.summary),
+            "summary": serde_json::to_value(&fleet.summary),
         });
         if let Some(before) = before {
             let deltas = stage_deltas(&before, &obs::snapshot());
@@ -241,18 +225,16 @@ pub fn run(cfg: &RunConfig) -> Report {
     let mut report = Report::new();
     report.table(
         &format!("Fleet throughput: 1-day scenarios, {threads} threads"),
-        &["homes", "serial homes/s", "parallel homes/s", "speedup"],
+        &["homes", "homes/s"],
         rows,
     );
     if !stage_rows.is_empty() {
         report.table(
-            "Per-stage breakdown, 1000-home parallel run (CPU-seconds across workers)",
+            "Per-stage breakdown, 1000-home run (CPU-seconds across workers)",
             &["stage", "cpu s", "homes/cpu-s"],
             stage_rows,
         );
     }
-    report.note("\nParallel results verified bit-identical to the serial reference ✓");
-
     resident_table.add_to(
         &mut report,
         &format!(

@@ -23,9 +23,7 @@ use iot_privacy::netsim::{
 };
 use iot_privacy::timeseries::rng::derive_seed;
 use iot_privacy::timeseries::{LabelSeries, Resolution, Timestamp};
-use iot_privacy::{
-    run_fleet_supervised_with, AttackScore, HomeAttempt, ScenarioReport, SupervisorConfig,
-};
+use iot_privacy::{run_fleet, AttackScore, HomeAttempt, ScenarioReport};
 
 const ROOT_SEED: u64 = 47;
 
@@ -398,10 +396,9 @@ pub fn run_arms_race(cfg: &ArmsRaceConfig) -> ArmsRaceResult {
     let mut cells = Vec::with_capacity(registry.len() * 2);
     for (p_idx, spec) in registry.iter().enumerate() {
         for attacker in ["naive-bayes", "strong-logistic"] {
-            let fleet = run_fleet_supervised_with(
+            let fleet = run_fleet(
                 cfg.eval_homes,
                 derive_seed(root, &format!("fleet:{}:{attacker}", spec.key)),
-                SupervisorConfig::default(),
                 |attempt: HomeAttempt| {
                     if Some(attempt.home) == cfg.panic_home {
                         panic!("injected fault in home {}", attempt.home);

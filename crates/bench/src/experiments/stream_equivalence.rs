@@ -25,9 +25,7 @@ use iot_privacy::netsim::fingerprint::{accuracy, labelled_examples};
 use iot_privacy::netsim::{
     simulate_home_network, DeviceClassifier, DeviceType, GatewayPolicy, NaiveBayes, SmartGateway,
 };
-use iot_privacy::nilm::{
-    train_device_hmm, DecodeArena, DecodePrecision, Disaggregator, Fhmm, FhmmConfig, PowerPlay,
-};
+use iot_privacy::nilm::{train_device_hmm, Disaggregator, Fhmm, FhmmConfig, PowerPlay};
 use iot_privacy::niom::{HmmDetector, OccupancyDetector, ThresholdDetector};
 use iot_privacy::scenario::EnergyScenario;
 use iot_privacy::stream::{
@@ -36,7 +34,7 @@ use iot_privacy::stream::{
     StreamSpec, StreamState, ThresholdStream,
 };
 use iot_privacy::streaming::StreamingScenario;
-use iot_privacy::timeseries::rng::{normal, seeded_rng};
+use iot_privacy::timeseries::rng::seeded_rng;
 use iot_privacy::timeseries::{LabelSeries, PowerTrace, Resolution, Timestamp};
 
 /// The chunk lengths every power pipeline is swept over; `usize::MAX / 2`
@@ -84,16 +82,15 @@ pub fn run(cfg: &RunConfig) -> Report {
     let mut report = Report::new();
     let mut rows = Vec::new();
     let mut push = |family: &str, case: &str, equal: bool| {
-        // Precision rows check a policy bound, not batch equivalence.
-        let (ok, bad) = if family == "precision" {
-            ("holds ✓", "VIOLATED ✗")
-        } else {
-            ("byte-identical ✓", "DIVERGED ✗")
-        };
         rows.push(vec![
             family.to_string(),
             case.to_string(),
-            (if equal { ok } else { bad }).to_string(),
+            (if equal {
+                "byte-identical ✓"
+            } else {
+                "DIVERGED ✗"
+            })
+            .to_string(),
         ]);
         assert!(
             equal,
@@ -197,53 +194,6 @@ pub fn run(cfg: &RunConfig) -> Report {
     let stream_est = err_stream.finalize();
     let stream_error =
         (norm_error(&stream_est[0].trace, &dev_a) + norm_error(&stream_est[1].trace, &dev_b)) / 2.0;
-
-    // -- Decode precision (the opt-in f32 score path) ----------------------
-    // Deterministic home for the `accuracy.*` claims: the f32 path must
-    // default off, stream exactly like its single-home decode, and
-    // disagree with f64 on only a sliver of per-sample states even on a
-    // noisy meter.
-    let mut precision_rng = seeded_rng(cfg.seed(55));
-    let noisy_meters: Vec<PowerTrace> = (0..3)
-        .map(|_| nilm_meter.map(|w| (w + normal(&mut precision_rng, 0.0, 25.0)).max(0.0)))
-        .collect();
-    let f32_defaults_off = FhmmConfig::default().precision == DecodePrecision::F64;
-    push("precision", "f32 score path defaults off", f32_defaults_off);
-    let fhmm32 = Fhmm::with_config(
-        models(),
-        FhmmConfig {
-            precision: DecodePrecision::F32,
-            ..FhmmConfig::default()
-        },
-    );
-    let mut arena = DecodeArena::new();
-    let singles64: Vec<Vec<Vec<usize>>> = noisy_meters
-        .iter()
-        .map(|m| fhmm.decode(m, &mut arena))
-        .collect();
-    let singles32: Vec<Vec<Vec<usize>>> = noisy_meters
-        .iter()
-        .map(|m| fhmm32.decode(m, &mut arena))
-        .collect();
-    let f32_stream_equal = noisy_meters.iter().zip(&singles32).all(|(m, paths)| {
-        let mut s = FhmmStream::new(&fhmm32, StreamSpec::of_trace(m));
-        feed_chunked(&mut s, &dense_samples(m.samples()), 60);
-        s.finalize() == fhmm32.estimates_from_paths(m.start(), m.resolution(), m.len(), paths)
-    });
-    push("precision", "f32 stream == f32 single", f32_stream_equal);
-    let (mut states, mut disagreements) = (0usize, 0usize);
-    for (p64, p32) in singles64.iter().zip(&singles32) {
-        for (d64, d32) in p64.iter().zip(p32) {
-            states += d64.len();
-            disagreements += d64.iter().zip(d32).filter(|(a, b)| a != b).count();
-        }
-    }
-    let f32_disagreement = disagreements as f64 / states as f64;
-    push(
-        "precision",
-        "f32 vs f64 state disagreement < 2%",
-        f32_disagreement < 0.02,
-    );
 
     // -- Defenses (Fig. 6) -------------------------------------------------
     let defense_seed = cfg.seed(1);
@@ -440,12 +390,6 @@ pub fn run(cfg: &RunConfig) -> Report {
         "scenario": {
             "equal": scenario_equal,
             "checkpoint_equal": checkpoint_equal,
-        },
-        "precision": {
-            "f32_defaults_off": f32_defaults_off,
-            "f32_stream_equal": f32_stream_equal,
-            "f32_state_disagreement_rate": f32_disagreement,
-            "states_compared": states,
         },
         "metric_delta_max": delta_max,
     });

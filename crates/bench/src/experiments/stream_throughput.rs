@@ -4,7 +4,7 @@
 //!
 //! **Fleet ingestion** — samples/sec through chunked ingestion at fleet
 //! sizes 10, 100, and 1000 homes, swept over chunk length. The reference
-//! is the batch [`run_fleet_supervised`] fleet, which rebuilds each home's
+//! is the batch [`run_fleet`] fleet, which rebuilds each home's
 //! world and runs the whole pipeline; the streaming side models the actual
 //! deployment shape — readings arrive from outside — so each home is
 //! simulated once up front (untimed) and the timed region is chunked
@@ -14,10 +14,8 @@
 //! output (the `stream` crate's batch-equivalence contract).
 //!
 //! **FHMM decode** — the disaggregation hot path in isolation: one
-//! 16-joint-state FHMM decoding 128 independent 1-day meters home by home,
-//! in both `f64` and the opt-in `f32` score path; `f32` reports its
-//! per-sample state disagreement against `f64` (pinned by the
-//! `accuracy.*` claims).
+//! 16-joint-state FHMM decoding 128 independent 1-day meters home by home
+//! (pinned by the `perf.fhmm-decode-throughput` claim).
 //!
 //! With the [`obs`] layer enabled (the binary's `--metrics <path>` flag)
 //! the JSON additionally records the `stream.chunks` / `stream.samples`
@@ -32,12 +30,12 @@ use super::{Report, RunConfig};
 use crate::table::{Cell, ThroughputTable};
 use iot_privacy::fleet::{home_seed, par_map};
 use iot_privacy::homesim::{Home, HomeConfig};
-use iot_privacy::nilm::{DecodeArena, DecodePrecision, DeviceHmm, Fhmm, FhmmConfig};
+use iot_privacy::nilm::{DeviceHmm, Fhmm};
 use iot_privacy::scenario::EnergyScenario;
 use iot_privacy::streaming::StreamingScenario;
 use iot_privacy::timeseries::rng::{derive_seed, normal, seeded_rng};
 use iot_privacy::timeseries::{PowerTrace, Resolution, Timestamp};
-use iot_privacy::{obs, run_fleet_supervised, run_fleet_supervised_with, SupervisorConfig};
+use iot_privacy::{obs, run_fleet};
 use std::time::Instant;
 
 const ROOT_SEED: u64 = 19;
@@ -74,8 +72,8 @@ pub fn run(cfg: &RunConfig) -> Report {
     let mut json = Vec::new();
     for homes in [10usize, 100, 1000] {
         let t = Instant::now();
-        let batch = run_fleet_supervised(homes, root_seed, SupervisorConfig::default(), |a| {
-            EnergyScenario::new(a.seed).days(1)
+        let batch = run_fleet(homes, root_seed, |a| {
+            EnergyScenario::new(a.seed).days(1).run()
         })
         .expect("non-empty fleet");
         let batch_s = t.elapsed().as_secs_f64();
@@ -93,14 +91,13 @@ pub fn run(cfg: &RunConfig) -> Report {
         for chunk_len in CHUNK_LENS {
             let before = obs::is_enabled().then(obs::snapshot);
             let stream_s = median_seconds(|| {
-                let streamed =
-                    run_fleet_supervised_with(homes, root_seed, SupervisorConfig::default(), |a| {
-                        StreamingScenario::new(a.seed)
-                            .days(1)
-                            .chunk_len(chunk_len)
-                            .run_on(&worlds[a.home])
-                    })
-                    .expect("non-empty fleet");
+                let streamed = run_fleet(homes, root_seed, |a| {
+                    StreamingScenario::new(a.seed)
+                        .days(1)
+                        .chunk_len(chunk_len)
+                        .run_on(&worlds[a.home])
+                })
+                .expect("non-empty fleet");
                 assert!(
                     streamed == batch,
                     "streaming fleet (chunk_len {chunk_len}) must match the batch fleet"
@@ -167,7 +164,6 @@ pub fn run(cfg: &RunConfig) -> Report {
              16 joint states"
         ),
     );
-    report.note("\nf32 is opt-in and reports its state disagreement vs f64");
 
     report.json = serde_json::json!({
         "experiment": "stream_throughput",
@@ -222,7 +218,7 @@ fn decode_meter(seed: u64, index: usize, len: usize) -> PowerTrace {
     clean.map(|w| (w + normal(&mut rng, 0.0, 25.0)).max(0.0))
 }
 
-/// The FHMM decode section: home-by-home decode in `f64` and `f32`.
+/// The FHMM decode section: home-by-home decode.
 fn decode_section(root_seed: u64) -> (serde_json::Value, ThroughputTable) {
     let meters: Vec<PowerTrace> = (0..DECODE_HOMES)
         .map(|i| {
@@ -233,81 +229,38 @@ fn decode_section(root_seed: u64) -> (serde_json::Value, ThroughputTable) {
             )
         })
         .collect();
-    let refs: Vec<&PowerTrace> = meters.iter().collect();
     let samples = DECODE_HOMES * SAMPLES_PER_HOME;
-
-    let fhmm = |precision: DecodePrecision| {
-        Fhmm::with_config(
-            decode_models(),
-            FhmmConfig {
-                precision,
-                ..FhmmConfig::default()
-            },
-        )
-    };
-    let f64_model = fhmm(DecodePrecision::F64);
-    let f32_model = fhmm(DecodePrecision::F32);
-
-    let mut arena = DecodeArena::new();
-    // Reference paths (and warm-up for the cached joint tables).
-    let single_paths: Vec<Vec<Vec<usize>>> = refs
-        .iter()
-        .map(|m| f64_model.decode(m, &mut arena))
-        .collect();
-    let single32_paths: Vec<Vec<Vec<usize>>> = refs
-        .iter()
-        .map(|m| f32_model.decode(m, &mut arena))
-        .collect();
-    let disagreement = state_disagreement(&single_paths, &single32_paths);
-
-    let mut table = ThroughputTable::new(&["kernel", "precision", "samples/s", "vs single f64"]);
-    let mut entries = Vec::new();
-    let mut single_per_sec = [0.0f64; 2];
-    for (pi, (model, label)) in [(&f64_model, "f64"), (&f32_model, "f32")]
-        .into_iter()
-        .enumerate()
-    {
-        let s = median_seconds(|| {
-            for m in &refs {
-                std::hint::black_box(model.decode(m, &mut arena));
-            }
-        });
-        single_per_sec[pi] = samples as f64 / s;
-        table.row(&[
-            Cell::Text("single".into()),
-            Cell::Text(label.into()),
-            Cell::Rate(single_per_sec[pi]),
-            Cell::Speedup(single_per_sec[pi] / single_per_sec[0]),
-        ]);
-        entries.push(serde_json::json!({
-            "kernel": "single",
-            "precision": label,
-            "decode_seconds": s,
-            "samples_per_sec": single_per_sec[pi],
-        }));
+    let model = Fhmm::new(decode_models());
+    // Warm-up: builds the cached joint tables and sizes this thread's
+    // decode scratch.
+    for m in &meters {
+        std::hint::black_box(model.decode(m));
     }
+
+    let s = median_seconds(|| {
+        for m in &meters {
+            std::hint::black_box(model.decode(m));
+        }
+    });
+    let samples_per_sec = samples as f64 / s;
+    let mut table = ThroughputTable::new(&["kernel", "precision", "samples/s"]);
+    table.row(&[
+        Cell::Text("single".into()),
+        Cell::Text("f64".into()),
+        Cell::Rate(samples_per_sec),
+    ]);
 
     let decode_json = serde_json::json!({
         "devices": decode_models().len(),
         "joint_states": 16,
         "homes": DECODE_HOMES,
         "samples": samples,
-        "f32_state_disagreement_rate": disagreement,
-        "kernels": entries,
+        "kernels": [{
+            "kernel": "single",
+            "precision": "f64",
+            "decode_seconds": s,
+            "samples_per_sec": samples_per_sec,
+        }],
     });
     (decode_json, table)
-}
-
-/// Fraction of per-device per-sample states where the `f32` decode differs
-/// from the `f64` decode.
-fn state_disagreement(a: &[Vec<Vec<usize>>], b: &[Vec<Vec<usize>>]) -> f64 {
-    let mut total = 0usize;
-    let mut differ = 0usize;
-    for (pa, pb) in a.iter().zip(b) {
-        for (da, db) in pa.iter().zip(pb) {
-            total += da.len();
-            differ += da.iter().zip(db).filter(|(x, y)| x != y).count();
-        }
-    }
-    differ as f64 / total as f64
 }

@@ -420,14 +420,6 @@ fn stream_metric_delta_max(v: &Value) -> Result<f64, String> {
     num(v, "metric_delta_max")
 }
 
-fn stream_precision_safe(v: &Value) -> Result<f64, String> {
-    nested_flags_all(v, "precision", &["f32_defaults_off", "f32_stream_equal"])
-}
-
-fn stream_f32_disagreement(v: &Value) -> Result<f64, String> {
-    nested_num(v, "precision", "f32_state_disagreement_rate")
-}
-
 fn chunked_speedup_min(v: &Value) -> Result<f64, String> {
     min_over(v, "sizes", |size| {
         min_over(size, "chunks", |c| num(c, "vs_batch_speedup"))
@@ -440,8 +432,13 @@ fn decode_section(v: &Value) -> Result<&Value, String> {
         .ok_or_else(|| "missing object field `decode`".to_string())
 }
 
-fn decode_throughput_max(v: &Value) -> Result<f64, String> {
-    max_over(decode_section(v)?, "kernels", |k| num(k, "samples_per_sec"))
+/// Samples/sec of the default `f64` decode row.
+fn decode_throughput_f64(v: &Value) -> Result<f64, String> {
+    items(decode_section(v)?, "kernels")?
+        .iter()
+        .find(|k| k.get("precision").and_then(Value::as_str) == Some("f64"))
+        .ok_or_else(|| "no `f64` decode kernel row".to_string())
+        .and_then(|k| num(k, "samples_per_sec"))
 }
 
 fn resident_section(v: &Value) -> Result<&Value, String> {
@@ -948,25 +945,6 @@ pub fn all() -> &'static [Claim] {
             extract: stream_metric_delta_max,
             cheap: true,
         },
-        // -- FHMM decode: precision policy --------------------------------
-        Claim {
-            id: "accuracy.f32-safe-defaults",
-            anchor: "roadmap (streaming)",
-            title: "The f32 score path is opt-in (off by default) and streams like its single decode",
-            experiment: "stream_equivalence",
-            band: Band::Absolute { lo: 1.0, hi: 1.0 },
-            extract: stream_precision_safe,
-            cheap: true,
-        },
-        Claim {
-            id: "accuracy.f32-decode-close",
-            anchor: "roadmap (streaming)",
-            title: "f32 FHMM decode disagrees with f64 on under 2% of per-sample states",
-            experiment: "stream_equivalence",
-            band: Band::AtMost { hi: 0.02 },
-            extract: stream_f32_disagreement,
-            cheap: true,
-        },
         // -- Streaming and decode throughput (wall-clock) -----------------
         Claim {
             id: "stream.chunked-not-slower",
@@ -980,10 +958,10 @@ pub fn all() -> &'static [Claim] {
         Claim {
             id: "perf.fhmm-decode-throughput",
             anchor: "roadmap (streaming throughput)",
-            title: "The FHMM decode path clears 5x the pre-batching fleet throughput ceiling",
+            title: "The default f64 FHMM decode path clears 5x the fleet throughput ceiling",
             experiment: "stream_throughput",
             band: Band::AtLeast { lo: 1_600_000.0 },
-            extract: decode_throughput_max,
+            extract: decode_throughput_f64,
             cheap: false,
         },
         // -- Resident fleet service (docs/FLEET.md) ----------------------

@@ -69,10 +69,7 @@ pub mod scenario;
 pub mod streaming;
 
 pub use fleet::{
-    run_fleet, run_fleet_serial, run_fleet_streaming, run_fleet_streaming_serial,
-    run_fleet_supervised, run_fleet_supervised_serial, run_fleet_supervised_with,
-    run_fleet_supervised_with_serial, FleetError, FleetResult, FleetSummary, HomeAttempt,
-    QuarantinedHome, StatSummary, SupervisedFleetResult, SupervisorConfig,
+    run_fleet, FleetError, FleetResult, FleetSummary, HomeAttempt, QuarantinedHome, StatSummary,
 };
 pub use scenario::{AttackScore, EnergyScenario, ScenarioReport};
 pub use streaming::StreamingScenario;

@@ -24,40 +24,17 @@
 //! models, so they are built once per [`Fhmm`] and shared by every
 //! subsequent decode.
 //!
-//! Two knobs sit on top of that base:
-//!
-//! * **Opt-in `f32` scores** ([`DecodePrecision`] on [`FhmmConfig`]): all
-//!   Viterbi/ICM score arithmetic in single precision (tables converted
-//!   once, cached per model), halving score-row memory traffic and
-//!   doubling SIMD width. Off by default; the accuracy cost is pinned by
-//!   `accuracy.*` conformance claims.
-//! * **Scratch-arena reuse** ([`DecodeArena`]): the score rows,
-//!   backpointer table, and ICM residual buffers live in a caller-owned
-//!   (or thread-local, for [`Disaggregator::disaggregate`]) arena so
-//!   per-decode allocations are reused across chunks, homes, and sweeps.
+//! Decoding reuses one private scratch per thread — score rows,
+//! backpointer table, and the ICM residual/explained buffers — grown on
+//! demand and never shrunk, so repeated decodes on a thread (fleet
+//! workers, per-day figure loops, stream finalizes) stop allocating after
+//! the first.
 
 use crate::estimate::{DeviceEstimate, Disaggregator};
 use crate::train::DeviceHmm;
 use std::cell::RefCell;
-use std::cmp::Ordering;
 use std::sync::OnceLock;
 use timeseries::{PowerTrace, Resolution, Timestamp};
-
-/// Floating-point width of the Viterbi/ICM score arithmetic.
-///
-/// `F32` halves score-row memory traffic and doubles SIMD lane count at
-/// the cost of occasional state flips on near-ties; the end-to-end metric
-/// deltas are pinned by the `accuracy.*` conformance claims. Model tables
-/// are converted once per [`Fhmm`] and cached, and residual/explained
-/// arithmetic in ICM stays `f64` — only the decode scores narrow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DecodePrecision {
-    /// Double-precision scores (bit-compatible with the original decoder).
-    #[default]
-    F64,
-    /// Single-precision scores (opt-in fast path).
-    F32,
-}
 
 /// Tuning parameters of the FHMM disaggregator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,8 +45,6 @@ pub struct FhmmConfig {
     pub max_exact_states: usize,
     /// ICM sweeps when the joint space is too large for exact inference.
     pub icm_sweeps: usize,
-    /// Score arithmetic width (defaults to `F64`).
-    pub precision: DecodePrecision,
 }
 
 impl Default for FhmmConfig {
@@ -78,140 +53,26 @@ impl Default for FhmmConfig {
             noise_sd_watts: 40.0,
             max_exact_states: 512,
             icm_sweeps: 4,
-            precision: DecodePrecision::F64,
         }
     }
 }
 
-/// Reusable decode scratch: score rows, the backpointer table, and the
-/// ICM residual/explained buffers.
-///
-/// Decoders size the buffers on entry (never shrink capacity), so one
-/// arena serves decodes of any state count and trace length — reuse
-/// across chunks and homes is what removes the per-chunk allocation
-/// overhead behind the streaming regression. [`Disaggregator::disaggregate`]
-/// uses a thread-local arena ([`with_thread_arena`]); [`Fhmm::decode`] and
-/// [`Fhmm::disaggregate_with`] take `&mut DecodeArena` so callers can own
-/// one arena per worker.
-///
-/// When a decode finds the arena's backpointer capacity already sufficient
-/// it bumps the `nilm.decode.arena_reuse` obs counter.
+/// Decode scratch: two swapped score rows, the backpointer table, and the
+/// ICM residual/explained buffers. Decoders size the buffers on entry and
+/// never shrink their capacity, so one scratch serves decodes of any state
+/// count and trace length.
 #[derive(Debug, Default)]
-pub struct DecodeArena {
+struct Scratch {
     delta: Vec<f64>,
     next: Vec<f64>,
-    delta32: Vec<f32>,
-    next32: Vec<f32>,
     back: Vec<u32>,
     residual: Vec<f64>,
     explained: Vec<f64>,
 }
 
-impl DecodeArena {
-    /// An empty arena; buffers grow on first use and are reused after.
-    pub fn new() -> DecodeArena {
-        DecodeArena::default()
-    }
-}
-
 thread_local! {
-    static THREAD_ARENA: RefCell<DecodeArena> = RefCell::new(DecodeArena::new());
-}
-
-/// Runs `f` with this thread's shared [`DecodeArena`].
-///
-/// [`Disaggregator::disaggregate`] decodes through this arena, so repeated
-/// single-home decodes on one thread (rayon fleet workers, per-day figure
-/// loops) reuse scratch without any caller plumbing.
-pub fn with_thread_arena<R>(f: impl FnOnce(&mut DecodeArena) -> R) -> R {
-    THREAD_ARENA.with(|a| f(&mut a.borrow_mut()))
-}
-
-/// Bumps the arena-reuse counter when the dominant allocation (the
-/// backpointer table) is already resident from an earlier decode.
-fn note_arena_use(back: &Vec<u32>, needed: usize) {
-    if back.capacity() >= needed && needed > 0 {
-        obs::counter_add("nilm.decode.arena_reuse", 1);
-    }
-}
-
-/// Score arithmetic the decoders are generic over: `f64` (default,
-/// bit-compatible with the original decoder) or `f32` (opt-in fast path).
-/// Each width knows where its cached tables and arena rows live.
-trait Score:
-    Copy
-    + PartialOrd
-    + std::fmt::Debug
-    + std::ops::Add<Output = Self>
-    + std::ops::Sub<Output = Self>
-    + std::ops::Mul<Output = Self>
-    + std::ops::Neg<Output = Self>
-    + Send
-    + Sync
-    + 'static
-{
-    const NEG_INF: Self;
-    fn from_f64(v: f64) -> Self;
-    fn total_cmp(&self, other: &Self) -> Ordering;
-    fn joint(fhmm: &Fhmm) -> &Tables<Self>;
-    fn chain(fhmm: &Fhmm, d: usize) -> &Tables<Self>;
-    fn scratch(arena: &mut DecodeArena) -> Scratch<'_, Self>;
-}
-
-impl Score for f64 {
-    const NEG_INF: Self = f64::NEG_INFINITY;
-    fn from_f64(v: f64) -> f64 {
-        v
-    }
-    fn total_cmp(&self, other: &Self) -> Ordering {
-        f64::total_cmp(self, other)
-    }
-    fn joint(fhmm: &Fhmm) -> &Tables<f64> {
-        &fhmm.joint().tables
-    }
-    fn chain(fhmm: &Fhmm, d: usize) -> &Tables<f64> {
-        &fhmm.chains[d]
-    }
-    fn scratch(arena: &mut DecodeArena) -> Scratch<'_, f64> {
-        Scratch {
-            delta: &mut arena.delta,
-            next: &mut arena.next,
-            back: &mut arena.back,
-        }
-    }
-}
-
-impl Score for f32 {
-    const NEG_INF: Self = f32::NEG_INFINITY;
-    fn from_f64(v: f64) -> f32 {
-        v as f32
-    }
-    fn total_cmp(&self, other: &Self) -> Ordering {
-        f32::total_cmp(self, other)
-    }
-    fn joint(fhmm: &Fhmm) -> &Tables<f32> {
-        fhmm.joint32.get_or_init(|| fhmm.joint().tables.demote())
-    }
-    fn chain(fhmm: &Fhmm, d: usize) -> &Tables<f32> {
-        &fhmm
-            .chains32
-            .get_or_init(|| fhmm.chains.iter().map(Tables::demote).collect())[d]
-    }
-    fn scratch(arena: &mut DecodeArena) -> Scratch<'_, f32> {
-        Scratch {
-            delta: &mut arena.delta32,
-            next: &mut arena.next32,
-            back: &mut arena.back,
-        }
-    }
-}
-
-/// The arena rows one decode borrows: two swapped score rows and the
-/// shared backpointer table.
-struct Scratch<'a, T> {
-    delta: &'a mut Vec<T>,
-    next: &'a mut Vec<T>,
-    back: &'a mut Vec<u32>,
+    /// The scratch every decode on this thread borrows.
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
 }
 
 /// Flat Viterbi tables over `k` states: per-state emission means
@@ -221,30 +82,20 @@ struct Scratch<'a, T> {
 /// single device chain both take this shape, so one step serves exact
 /// decoding and ICM.
 #[derive(Debug, Clone)]
-struct Tables<T> {
+struct Tables {
     k: usize,
-    totals: Vec<T>,
-    log_init: Vec<T>,
-    log_a: Vec<T>,
+    totals: Vec<f64>,
+    log_init: Vec<f64>,
+    log_a: Vec<f64>,
 }
 
-impl Tables<f64> {
+impl Tables {
     fn from_hmm(dev: &DeviceHmm) -> Self {
         Tables {
             k: dev.n_states(),
             totals: dev.state_watts.clone(),
             log_init: dev.log_init.clone(),
             log_a: dev.log_trans.concat(),
-        }
-    }
-
-    fn demote(&self) -> Tables<f32> {
-        let demote = |v: &[f64]| v.iter().map(|&x| x as f32).collect();
-        Tables {
-            k: self.k,
-            totals: demote(&self.totals),
-            log_init: demote(&self.log_init),
-            log_a: demote(&self.log_a),
         }
     }
 }
@@ -254,7 +105,7 @@ impl Tables<f64> {
 /// per-device states.
 #[derive(Debug, Clone)]
 struct Joint {
-    tables: Tables<f64>,
+    tables: Tables,
     /// `digits[j * devices + d]` is device `d`'s state in joint state `j`.
     digits: Vec<usize>,
 }
@@ -263,11 +114,9 @@ struct Joint {
 #[derive(Debug, Clone)]
 pub struct Fhmm {
     devices: Vec<DeviceHmm>,
-    chains: Vec<Tables<f64>>,
-    chains32: OnceLock<Vec<Tables<f32>>>,
+    chains: Vec<Tables>,
     config: FhmmConfig,
     joint: OnceLock<Joint>,
-    joint32: OnceLock<Tables<f32>>,
     /// The Viterbi step variant, chosen once for this CPU.
     isa: Isa,
 }
@@ -297,10 +146,8 @@ impl Fhmm {
         Fhmm {
             devices,
             chains,
-            chains32: OnceLock::new(),
             config,
             joint: OnceLock::new(),
-            joint32: OnceLock::new(),
             isa: Isa::detect(),
         }
     }
@@ -310,45 +157,36 @@ impl Fhmm {
         self.devices.iter().map(|d| d.n_states()).product()
     }
 
-    /// The configured score precision.
-    pub fn precision(&self) -> DecodePrecision {
-        self.config.precision
-    }
-
     fn inv_two_var(&self) -> f64 {
         0.5 / (self.config.noise_sd_watts * self.config.noise_sd_watts)
     }
 
     /// Decodes per-device state paths for `meter`.
-    pub fn decode(&self, meter: &PowerTrace, arena: &mut DecodeArena) -> Vec<Vec<usize>> {
+    pub fn decode(&self, meter: &PowerTrace) -> Vec<Vec<usize>> {
         if meter.is_empty() {
             return vec![Vec::new(); self.devices.len()];
         }
         obs::counter_add("nilm.fhmm.samples", meter.len() as u64);
-        match self.config.precision {
-            DecodePrecision::F64 => self.decode_t::<f64>(meter, arena),
-            DecodePrecision::F32 => self.decode_t::<f32>(meter, arena),
-        }
-    }
-
-    fn decode_t<T: Score>(&self, meter: &PowerTrace, arena: &mut DecodeArena) -> Vec<Vec<usize>> {
-        if self.exact_capable() {
-            obs::time("nilm.fhmm.decode_exact", || {
-                let inv_two_var = T::from_f64(self.inv_two_var());
-                let joint = viterbi(
-                    self.isa,
-                    T::joint(self),
-                    meter.samples(),
-                    inv_two_var,
-                    &mut T::scratch(arena),
-                );
-                self.unpack_paths(&joint)
-            })
-        } else {
-            obs::time("nilm.fhmm.decode_icm", || {
-                self.decode_icm::<T>(meter.samples(), arena)
-            })
-        }
+        SCRATCH.with(|scratch| {
+            let scratch = &mut scratch.borrow_mut();
+            if self.exact_capable() {
+                obs::time("nilm.fhmm.decode_exact", || {
+                    let tables = &self.joint().tables;
+                    let joint = viterbi(
+                        self.isa,
+                        tables,
+                        meter.samples(),
+                        self.inv_two_var(),
+                        scratch,
+                    );
+                    self.unpack_paths(&joint)
+                })
+            } else {
+                obs::time("nilm.fhmm.decode_icm", || {
+                    self.decode_icm(meter.samples(), scratch)
+                })
+            }
+        })
     }
 
     /// Builds (or fetches) the joint tables for exact decoding.
@@ -411,26 +249,15 @@ impl Fhmm {
         })
     }
 
-    /// [`Disaggregator::disaggregate`] with a caller-owned arena instead of
-    /// the thread-local one.
-    pub fn disaggregate_with(
-        &self,
-        meter: &PowerTrace,
-        arena: &mut DecodeArena,
-    ) -> Vec<DeviceEstimate> {
-        let paths = self.decode(meter, arena);
-        self.estimates_from_paths(meter.start(), meter.resolution(), meter.len(), &paths)
-    }
-
     /// Iterated conditional modes: strictly Gauss-Seidel device sweeps,
     /// flexible chains first, each a single-chain Viterbi against the
     /// residual the other devices leave; stops after the first sweep that
     /// changes no path.
-    fn decode_icm<T: Score>(&self, xs: &[f64], arena: &mut DecodeArena) -> Vec<Vec<usize>> {
+    fn decode_icm(&self, xs: &[f64], scratch: &mut Scratch) -> Vec<Vec<usize>> {
         let n = xs.len();
         // Start everything in its lowest state.
         let mut paths: Vec<Vec<usize>> = self.devices.iter().map(|_| vec![0usize; n]).collect();
-        let mut explained = std::mem::take(&mut arena.explained);
+        let mut explained = std::mem::take(&mut scratch.explained);
         explained.clear();
         explained.resize(n, 0.0);
         for (dev, path) in self.devices.iter().zip(&paths) {
@@ -444,23 +271,17 @@ impl Fhmm {
         let mut order: Vec<usize> = (0..self.devices.len()).collect();
         order.sort_by_key(|&d| std::cmp::Reverse(self.devices[d].n_states()));
 
-        let mut residual = std::mem::take(&mut arena.residual);
+        let mut residual = std::mem::take(&mut scratch.residual);
         residual.clear();
         residual.resize(n, 0.0);
 
-        let inv_two_var = T::from_f64(self.inv_two_var());
+        let inv_two_var = self.inv_two_var();
         for _ in 0..self.config.icm_sweeps {
             let mut changed = false;
             for &d in &order {
                 let dev = &self.devices[d];
                 fill_residual(&mut residual, xs, &explained, &dev.state_watts, &paths[d]);
-                let new_path = viterbi(
-                    self.isa,
-                    T::chain(self, d),
-                    &residual,
-                    inv_two_var,
-                    &mut T::scratch(arena),
-                );
+                let new_path = viterbi(self.isa, &self.chains[d], &residual, inv_two_var, scratch);
                 if new_path != paths[d] {
                     changed = true;
                     for ((e, &new), &old) in explained.iter_mut().zip(&new_path).zip(&paths[d]) {
@@ -473,8 +294,8 @@ impl Fhmm {
                 break;
             }
         }
-        arena.explained = explained;
-        arena.residual = residual;
+        scratch.explained = explained;
+        scratch.residual = residual;
         paths
     }
 
@@ -511,8 +332,7 @@ impl Fhmm {
     /// Pushing every sample of a trace and then calling
     /// [`FhmmFilter::paths`] reproduces the batch decode bit for bit: the
     /// filter runs the same Viterbi step as the internal exact decoder,
-    /// merely spread across `push` calls. The filter honours the
-    /// configured [`DecodePrecision`].
+    /// merely spread across `push` calls.
     pub fn filter(&self) -> Option<FhmmFilter<'_>> {
         if !self.exact_capable() {
             return None;
@@ -520,7 +340,8 @@ impl Fhmm {
         Some(FhmmFilter {
             fhmm: self,
             inv_two_var: self.inv_two_var(),
-            rows: FilterRows::new(self.config.precision),
+            delta: Vec::new(),
+            next: Vec::new(),
             back: Vec::new(),
             n: 0,
         })
@@ -553,7 +374,7 @@ impl Fhmm {
 }
 
 /// The `t = 0` score row: `log_init[j] + emit(j, x)`.
-fn init_row<T: Score>(tables: &Tables<T>, x: T, inv_two_var: T, delta: &mut Vec<T>) {
+fn init_row(tables: &Tables, x: f64, inv_two_var: f64, delta: &mut Vec<f64>) {
     delta.clear();
     delta.extend(
         tables
@@ -571,7 +392,7 @@ fn init_row<T: Score>(tables: &Tables<T>, x: T, inv_two_var: T, delta: &mut Vec<
 /// outside this module, so only the runtime feature checks here can
 /// select a SIMD variant.
 mod kernel {
-    use super::{Score, Tables};
+    use super::Tables;
 
     /// Instruction set of the Viterbi step, detected once per
     /// [`Fhmm`](super::Fhmm).
@@ -628,17 +449,17 @@ mod kernel {
 
     /// One Viterbi step through the variant `isa` selects. For every target
     /// `j`: `next[j] = max_i (delta[i] + log_a[i][j]) + emit(j, x)` and
-    /// `back[j]` = the maximizing `i`, where a scan from `NEG_INF` with
+    /// `back[j]` = the maximizing `i`, where a scan from `-inf` with
     /// `arg = 0` takes a predecessor only on strict `>`, so the first maximum
     /// wins. Every variant evaluates the same additions and comparisons in
     /// the same order per target, so they agree bit for bit.
-    pub(super) fn step<T: Score>(
+    pub(super) fn step(
         isa: Isa,
-        tables: &Tables<T>,
-        delta: &[T],
-        x: T,
-        inv_two_var: T,
-        next: &mut [T],
+        tables: &Tables,
+        delta: &[f64],
+        x: f64,
+        inv_two_var: f64,
+        next: &mut [f64],
         back: &mut [u32],
     ) {
         match isa.0 {
@@ -658,17 +479,17 @@ mod kernel {
 
     /// The portable step and the oracle the lane step is tested against: per
     /// target `j`, a branchy scan over predecessors `i = 0..k`.
-    pub(super) fn step_scalar<T: Score>(
-        tables: &Tables<T>,
-        delta: &[T],
-        x: T,
-        inv_two_var: T,
-        next: &mut [T],
+    pub(super) fn step_scalar(
+        tables: &Tables,
+        delta: &[f64],
+        x: f64,
+        inv_two_var: f64,
+        next: &mut [f64],
         back: &mut [u32],
     ) {
         let k = tables.k;
         for (j, (slot, ptr)) in next.iter_mut().zip(back.iter_mut()).enumerate() {
-            let mut best = T::NEG_INF;
+            let mut best = f64::NEG_INFINITY;
             let mut arg = 0u32;
             for (i, &d) in delta.iter().enumerate() {
                 let v = d + tables.log_a[i * k + j];
@@ -690,12 +511,12 @@ mod kernel {
     /// The caller must have checked `is_x86_feature_detected!("avx2")`.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    fn step_avx2<T: Score>(
-        tables: &Tables<T>,
-        delta: &[T],
-        x: T,
-        inv_two_var: T,
-        next: &mut [T],
+    fn step_avx2(
+        tables: &Tables,
+        delta: &[f64],
+        x: f64,
+        inv_two_var: f64,
+        next: &mut [f64],
         back: &mut [u32],
     ) {
         step_lanes(tables, delta, x, inv_two_var, next, back);
@@ -708,12 +529,12 @@ mod kernel {
     /// The caller must have checked `is_x86_feature_detected!("avx512f")`.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f")]
-    fn step_avx512<T: Score>(
-        tables: &Tables<T>,
-        delta: &[T],
-        x: T,
-        inv_two_var: T,
-        next: &mut [T],
+    fn step_avx512(
+        tables: &Tables,
+        delta: &[f64],
+        x: f64,
+        inv_two_var: f64,
+        next: &mut [f64],
         back: &mut [u32],
     ) {
         step_lanes(tables, delta, x, inv_two_var, next, back);
@@ -729,18 +550,18 @@ mod kernel {
     /// lanes in `next`/`back` instead. Per target this is the scalar scan's
     /// exact sequence of additions and strict-`>` comparisons.
     #[inline(always)]
-    fn step_lanes<T: Score>(
-        tables: &Tables<T>,
-        delta: &[T],
-        x: T,
-        inv_two_var: T,
-        next: &mut [T],
+    fn step_lanes(
+        tables: &Tables,
+        delta: &[f64],
+        x: f64,
+        inv_two_var: f64,
+        next: &mut [f64],
         back: &mut [u32],
     ) {
         let k = tables.k;
         let mut j0 = 0;
         while j0 + TILE <= k {
-            let mut best = [T::NEG_INF; TILE];
+            let mut best = [f64::NEG_INFINITY; TILE];
             let mut arg = [0u32; TILE];
             for (i, &d) in delta.iter().enumerate() {
                 let row = &tables.log_a[i * k + j0..i * k + j0 + TILE];
@@ -752,7 +573,7 @@ mod kernel {
         }
         if j0 < k {
             let (best, arg) = (&mut next[j0..k], &mut back[j0..k]);
-            best.fill(T::NEG_INF);
+            best.fill(f64::NEG_INFINITY);
             arg.fill(0);
             for (i, &d) in delta.iter().enumerate() {
                 let row = &tables.log_a[i * k + j0..(i + 1) * k];
@@ -761,7 +582,7 @@ mod kernel {
         }
         for (slot, &total) in next.iter_mut().zip(&tables.totals) {
             let d = x - total;
-            *slot = *slot + (-d * d * inv_two_var);
+            *slot += -d * d * inv_two_var;
         }
     }
 
@@ -769,7 +590,7 @@ mod kernel {
     /// target) into the lanes with branch-free selects: a lane takes `i` only
     /// when `d + row[lane]` is strictly greater than its best so far.
     #[inline(always)]
-    fn relax<T: Score>(best: &mut [T], arg: &mut [u32], d: T, row: &[T], i: u32) {
+    fn relax(best: &mut [f64], arg: &mut [u32], d: f64, row: &[f64], i: u32) {
         for ((b, a), &t) in best.iter_mut().zip(arg.iter_mut()).zip(row) {
             let v = d + t;
             let take = v > *b;
@@ -784,7 +605,7 @@ use kernel::{step, Isa};
 /// Last-max argmax over a score row — the semantics of
 /// `iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1))` that the decoder
 /// has always used for the final step.
-fn final_arg<T: Score>(delta: &[T]) -> usize {
+fn final_arg(delta: &[f64]) -> usize {
     delta
         .iter()
         .enumerate()
@@ -795,7 +616,7 @@ fn final_arg<T: Score>(delta: &[T]) -> usize {
 
 /// Walks the backpointers of an `n`-step decode back from the final
 /// score row.
-fn backtrack<T: Score>(delta: &[T], back: &[u32], k: usize, n: usize) -> Vec<usize> {
+fn backtrack(delta: &[f64], back: &[u32], k: usize, n: usize) -> Vec<usize> {
     let mut path = vec![0usize; n];
     path[n - 1] = final_arg(delta);
     for t in (0..n - 1).rev() {
@@ -805,55 +626,33 @@ fn backtrack<T: Score>(delta: &[T], back: &[u32], k: usize, n: usize) -> Vec<usi
 }
 
 /// Whole-trace Viterbi over any [`Tables`] (joint space or one device
-/// chain against a residual), using caller-owned arena scratch.
-fn viterbi<T: Score>(
+/// chain against a residual), in the thread's decode scratch.
+fn viterbi(
     isa: Isa,
-    tables: &Tables<T>,
+    tables: &Tables,
     xs: &[f64],
-    inv_two_var: T,
-    scratch: &mut Scratch<'_, T>,
+    inv_two_var: f64,
+    scratch: &mut Scratch,
 ) -> Vec<usize> {
     let k = tables.k;
     let n = xs.len();
     if n == 0 {
         return Vec::new();
     }
-    note_arena_use(scratch.back, n * k);
-    let Scratch { delta, next, back } = scratch;
-    init_row(tables, T::from_f64(xs[0]), inv_two_var, delta);
+    let Scratch {
+        delta, next, back, ..
+    } = scratch;
+    init_row(tables, xs[0], inv_two_var, delta);
     next.clear();
-    next.resize(k, T::NEG_INF);
+    next.resize(k, f64::NEG_INFINITY);
     back.clear();
     back.resize(n * k, 0);
     for (t, &x) in xs.iter().enumerate().skip(1) {
         let back_t = &mut back[t * k..(t + 1) * k];
-        let x = T::from_f64(x);
         step(isa, tables, delta, x, inv_two_var, next, back_t);
-        std::mem::swap(*delta, *next);
+        std::mem::swap(delta, next);
     }
     backtrack(delta, back, k, n)
-}
-
-/// The precision-selected score rows of an incremental filter.
-#[derive(Debug, Clone)]
-enum FilterRows {
-    F64 { delta: Vec<f64>, next: Vec<f64> },
-    F32 { delta: Vec<f32>, next: Vec<f32> },
-}
-
-impl FilterRows {
-    fn new(precision: DecodePrecision) -> FilterRows {
-        match precision {
-            DecodePrecision::F64 => FilterRows::F64 {
-                delta: Vec::new(),
-                next: Vec::new(),
-            },
-            DecodePrecision::F32 => FilterRows::F32 {
-                delta: Vec::new(),
-                next: Vec::new(),
-            },
-        }
-    }
 }
 
 /// Incremental forward pass of the exact factorial Viterbi decoder: the
@@ -865,57 +664,35 @@ impl FilterRows {
 pub struct FhmmFilter<'a> {
     fhmm: &'a Fhmm,
     inv_two_var: f64,
-    rows: FilterRows,
+    delta: Vec<f64>,
+    next: Vec<f64>,
     back: Vec<u32>,
     n: usize,
-}
-
-/// One `push` of the filter recurrence at width `T`.
-fn filter_push<T: Score>(
-    fhmm: &Fhmm,
-    delta: &mut Vec<T>,
-    next: &mut Vec<T>,
-    back: &mut Vec<u32>,
-    n: usize,
-    x: f64,
-    inv_two_var: f64,
-) {
-    let tables = T::joint(fhmm);
-    let k = tables.k;
-    let x = T::from_f64(x);
-    let inv_two_var = T::from_f64(inv_two_var);
-    // Row 0 of the backpointer table is never read; keep it zeroed to
-    // mirror the batch decoder's layout.
-    back.resize((n + 1) * k, 0);
-    if n == 0 {
-        init_row(tables, x, inv_two_var, delta);
-        next.clear();
-        next.resize(k, T::NEG_INF);
-    } else {
-        step(
-            fhmm.isa,
-            tables,
-            delta,
-            x,
-            inv_two_var,
-            next,
-            &mut back[n * k..],
-        );
-        std::mem::swap(delta, next);
-    }
 }
 
 impl FhmmFilter<'_> {
     /// Advances the decode by one aggregate observation (watts).
     pub fn push(&mut self, x: f64) {
-        let (fhmm, back, n) = (self.fhmm, &mut self.back, self.n);
-        match &mut self.rows {
-            FilterRows::F64 { delta, next } => {
-                filter_push::<f64>(fhmm, delta, next, back, n, x, self.inv_two_var)
-            }
-            FilterRows::F32 { delta, next } => {
-                filter_push::<f32>(fhmm, delta, next, back, n, x, self.inv_two_var)
-            }
+        let tables = &self.fhmm.joint().tables;
+        let (k, n) = (tables.k, self.n);
+        // Row 0 of the backpointer table is never read; keep it zeroed to
+        // mirror the batch decoder's layout.
+        self.back.resize((n + 1) * k, 0);
+        if n == 0 {
+            init_row(tables, x, self.inv_two_var, &mut self.delta);
+            self.next.clear();
+            self.next.resize(k, f64::NEG_INFINITY);
+        } else {
+            step(
+                self.fhmm.isa,
+                tables,
+                &self.delta,
+                x,
+                self.inv_two_var,
+                &mut self.next,
+                &mut self.back[n * k..],
+            );
+            std::mem::swap(&mut self.delta, &mut self.next);
         }
         self.n += 1;
     }
@@ -934,15 +711,8 @@ impl FhmmFilter<'_> {
     /// backpointer table, which grows by `4 × k` bytes per sample, plus
     /// the two score rows.
     pub fn heap_bytes(&self) -> usize {
-        let rows = match &self.rows {
-            FilterRows::F64 { delta, next } => {
-                (delta.capacity() + next.capacity()) * std::mem::size_of::<f64>()
-            }
-            FilterRows::F32 { delta, next } => {
-                (delta.capacity() + next.capacity()) * std::mem::size_of::<f32>()
-            }
-        };
-        self.back.capacity() * std::mem::size_of::<u32>() + rows
+        self.back.capacity() * std::mem::size_of::<u32>()
+            + (self.delta.capacity() + self.next.capacity()) * std::mem::size_of::<f64>()
     }
 
     /// Backtracks the decode so far into per-device state paths —
@@ -955,10 +725,7 @@ impl FhmmFilter<'_> {
             return vec![Vec::new(); self.fhmm.devices.len()];
         }
         let k = self.fhmm.joint().tables.k;
-        let joint = match &self.rows {
-            FilterRows::F64 { delta, .. } => backtrack(delta, &self.back, k, n),
-            FilterRows::F32 { delta, .. } => backtrack(delta, &self.back, k, n),
-        };
+        let joint = backtrack(&self.delta, &self.back, k, n);
         self.fhmm.unpack_paths(&joint)
     }
 }
@@ -1002,7 +769,8 @@ fn fill_residual(
 
 impl Disaggregator for Fhmm {
     fn disaggregate(&self, meter: &PowerTrace) -> Vec<DeviceEstimate> {
-        with_thread_arena(|arena| self.disaggregate_with(meter, arena))
+        let paths = self.decode(meter);
+        self.estimates_from_paths(meter.start(), meter.resolution(), meter.len(), &paths)
     }
 
     fn name(&self) -> &str {
@@ -1209,16 +977,10 @@ mod tests {
         assert_eq!(parallel, serial);
     }
 
-    #[test]
-    fn precision_defaults_to_f64() {
-        assert_eq!(FhmmConfig::default().precision, DecodePrecision::F64);
-        assert_eq!(DecodePrecision::default(), DecodePrecision::F64);
-    }
-
     /// Random `k`-state tables built from fewer prototype states, so that
     /// duplicated states force exact ties. Transitions and initial
     /// log-probs include `-inf` (zero probability) and both signed zeros.
-    fn random_tables<T: Score>(seed: u64, k: usize) -> Tables<T> {
+    fn random_tables(seed: u64, k: usize) -> Tables {
         let mut rng = seeded_rng(seed);
         let protos = (k * 2 / 3).max(1);
         let log_p = |rng: &mut timeseries::rng::SeededRng| match rng.gen_range(0..10u32) {
@@ -1235,10 +997,10 @@ mod tests {
         let kind: Vec<usize> = (0..k).map(|_| rng.gen_range(0..protos)).collect();
         Tables {
             k,
-            totals: kind.iter().map(|&p| T::from_f64(proto_total[p])).collect(),
-            log_init: kind.iter().map(|&p| T::from_f64(proto_init[p])).collect(),
+            totals: kind.iter().map(|&p| proto_total[p]).collect(),
+            log_init: kind.iter().map(|&p| proto_init[p]).collect(),
             log_a: (0..k * k)
-                .map(|ij| T::from_f64(proto_a[kind[ij / k] * protos + kind[ij % k]]))
+                .map(|ij| proto_a[kind[ij / k] * protos + kind[ij % k]])
                 .collect(),
         }
     }
@@ -1247,34 +1009,35 @@ mod tests {
     /// and every variant the host supports, demanding identical score
     /// bits and backpointers at every step. Also checks that the inputs
     /// did reach ties, `-inf` transitions and zero scores.
-    fn variants_match_oracle<T: Score>(bits: fn(T) -> u64) {
-        let inv_two_var = T::from_f64(0.5 / (40.0 * 40.0));
-        let zero = T::from_f64(0.0);
+    #[test]
+    fn step_variants_match_scalar_oracle_f64() {
+        let inv_two_var = 0.5 / (40.0 * 40.0);
+        let bits = |row: &[f64]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let (mut ties, mut neg_inf, mut zeros) = (false, false, false);
         for k in [1usize, 2, 3, 7, 8, 9, 15, 16, 17, 31, 64] {
             for seed in 0..4u64 {
-                let tables = random_tables::<T>(seed * 1_000 + k as u64, k);
+                let tables = random_tables(seed * 1_000 + k as u64, k);
                 ties |= (1..k).any(|j| tables.totals[..j].contains(&tables.totals[j]));
-                neg_inf |= tables.log_a.contains(&T::NEG_INF);
+                neg_inf |= tables.log_a.contains(&f64::NEG_INFINITY);
                 let mut rng = seeded_rng(seed + 77);
                 let draw = |rng: &mut timeseries::rng::SeededRng| {
                     if rng.gen_bool(0.5) {
                         // Exactly a state total: the emission term is -0.
                         tables.totals[rng.gen_range(0..k)]
                     } else {
-                        T::from_f64(rng.gen_range(0.0..1_500.0))
+                        rng.gen_range(0.0..1_500.0)
                     }
                 };
                 let mut delta = Vec::new();
                 init_row(&tables, draw(&mut rng), inv_two_var, &mut delta);
                 for t in 1..12 {
                     let x = draw(&mut rng);
-                    let mut want = vec![T::NEG_INF; k];
+                    let mut want = vec![f64::NEG_INFINITY; k];
                     let mut want_back = vec![0u32; k];
                     kernel::step_scalar(&tables, &delta, x, inv_two_var, &mut want, &mut want_back);
                     let dispatched = std::iter::once(Isa::detect());
                     for isa in dispatched.chain(Isa::supported()) {
-                        let mut got = vec![T::NEG_INF; k];
+                        let mut got = vec![f64::NEG_INFINITY; k];
                         let mut got_back = vec![u32::MAX; k];
                         step(
                             isa,
@@ -1286,14 +1049,10 @@ mod tests {
                             &mut got_back,
                         );
                         let ctx = format!("{isa:?} k={k} seed={seed} t={t}");
-                        assert_eq!(
-                            got.iter().map(|&v| bits(v)).collect::<Vec<_>>(),
-                            want.iter().map(|&v| bits(v)).collect::<Vec<_>>(),
-                            "scores, {ctx}"
-                        );
+                        assert_eq!(bits(&got), bits(&want), "scores, {ctx}");
                         assert_eq!(got_back, want_back, "backpointers, {ctx}");
                     }
-                    zeros |= want.contains(&zero);
+                    zeros |= want.contains(&0.0);
                     delta = want;
                 }
             }
@@ -1301,18 +1060,15 @@ mod tests {
         assert!(ties && neg_inf && zeros, "{ties} {neg_inf} {zeros}");
     }
 
-    #[test]
-    fn step_variants_match_scalar_oracle_f64() {
-        variants_match_oracle::<f64>(f64::to_bits);
+    /// `oracle.decode(meter)` on a freshly spawned thread, whose decode
+    /// scratch starts cold — so comparing it against a decode on this
+    /// thread also checks that a warm scratch changes nothing.
+    fn cold_decode(oracle: &Fhmm, meter: &PowerTrace) -> Vec<Vec<usize>> {
+        std::thread::scope(|s| s.spawn(|| oracle.decode(meter)).join().unwrap())
     }
 
-    #[test]
-    fn step_variants_match_scalar_oracle_f32() {
-        variants_match_oracle::<f32>(|v| u64::from(v.to_bits()));
-    }
-
-    fn prop_models() -> &'static [Fhmm; 3] {
-        static MODELS: OnceLock<[Fhmm; 3]> = OnceLock::new();
+    fn prop_models() -> &'static [Fhmm; 2] {
+        static MODELS: OnceLock<[Fhmm; 2]> = OnceLock::new();
         MODELS.get_or_init(|| {
             [
                 two_device_fhmm(FhmmConfig::default()),
@@ -1320,32 +1076,24 @@ mod tests {
                     max_exact_states: 1,
                     ..FhmmConfig::default()
                 }),
-                two_device_fhmm(FhmmConfig {
-                    precision: DecodePrecision::F32,
-                    ..FhmmConfig::default()
-                }),
             ]
         })
     }
 
     proptest! {
-        /// Exact, ICM and f32 decodes of ragged-length meters with
-        /// arbitrary (model-mismatched) watts equal the scalar oracle.
+        /// Exact and ICM decodes of ragged-length meters with arbitrary
+        /// (model-mismatched) watts equal the scalar oracle.
         #[test]
         fn decode_matches_scalar_oracle(
             xs in prop::collection::vec(
                 prop::collection::vec(0.0f64..3_000.0, 1..80), 1..7),
         ) {
-            let mut arena = DecodeArena::new();
             for fhmm in prop_models() {
                 let oracle = scalar_oracle(fhmm);
                 for x in &xs {
                     let meter =
                         PowerTrace::new(Timestamp::ZERO, Resolution::ONE_MINUTE, x.clone()).unwrap();
-                    prop_assert_eq!(
-                        fhmm.decode(&meter, &mut arena),
-                        oracle.decode(&meter, &mut DecodeArena::new())
-                    );
+                    prop_assert_eq!(fhmm.decode(&meter), cold_decode(&oracle, &meter));
                 }
             }
         }
@@ -1361,78 +1109,30 @@ mod tests {
         let oracle = scalar_oracle(&fhmm);
         for seed in 0..4 {
             let meter = noisy_meter(seed, 250).2;
-            assert_eq!(
-                fhmm.decode(&meter, &mut DecodeArena::new()),
-                oracle.decode(&meter, &mut DecodeArena::new())
-            );
+            assert_eq!(fhmm.decode(&meter), cold_decode(&oracle, &meter));
         }
-    }
-
-    /// Ties the f32 fast path to the `accuracy.f32-decode-close` claim
-    /// band (state disagreement vs f64 < 2%) across 8 seeds of
-    /// model-matched noisy meters.
-    #[test]
-    fn f32_path_decodes_close_to_f64() {
-        let f64_model = two_device_fhmm(FhmmConfig::default());
-        let f32_model = two_device_fhmm(FhmmConfig {
-            precision: DecodePrecision::F32,
-            ..FhmmConfig::default()
-        });
-        let mut total = 0usize;
-        let mut disagree = 0usize;
-        for seed in 0..8u64 {
-            let meter = noisy_meter(seed, 400).2;
-            let a = f64_model.decode(&meter, &mut DecodeArena::new());
-            let b = f32_model.decode(&meter, &mut DecodeArena::new());
-            for (pa, pb) in a.iter().zip(&b) {
-                total += pa.len();
-                disagree += pa.iter().zip(pb).filter(|(x, y)| x != y).count();
-            }
-        }
-        let rate = disagree as f64 / total as f64;
-        assert!(rate < 0.02, "f32 disagreement rate {rate}");
     }
 
     #[test]
     fn filter_and_its_checkpoint_reproduce_the_decode() {
-        // Chunked filter pushes must reproduce the batch decode at either
-        // precision, and so must a clone resumed mid-trace (the stream
-        // layer relies on both).
-        for precision in [DecodePrecision::F64, DecodePrecision::F32] {
-            let fhmm = two_device_fhmm(FhmmConfig {
-                precision,
-                ..FhmmConfig::default()
-            });
-            let meter = noisy_meter(7, 180).2;
-            let decoded = fhmm.decode(&meter, &mut DecodeArena::new());
-            let mut filter = fhmm.filter().unwrap();
-            let mut checkpoint = None;
-            for (t, &x) in meter.samples().iter().enumerate() {
-                filter.push(x);
-                if t == 90 {
-                    checkpoint = Some(filter.clone());
-                }
-            }
-            assert_eq!(filter.paths(), decoded, "{precision:?}");
-            let mut restored = checkpoint.unwrap();
-            for &x in &meter.samples()[91..] {
-                restored.push(x);
-            }
-            assert_eq!(restored.paths(), decoded, "{precision:?} resumed");
-        }
-    }
-
-    #[test]
-    fn arena_reuse_is_counted() {
+        // Chunked filter pushes must reproduce the batch decode, and so
+        // must a clone resumed mid-trace (the stream layer relies on both).
         let fhmm = two_device_fhmm(FhmmConfig::default());
-        let meter = noisy_meter(3, 200).2;
-        let mut arena = DecodeArena::new();
-        fhmm.disaggregate_with(&meter, &mut arena);
-        obs::enable();
-        obs::reset();
-        fhmm.disaggregate_with(&meter, &mut arena);
-        let report = obs::snapshot();
-        obs::disable();
-        assert!(report.counter("nilm.decode.arena_reuse").unwrap_or(0) >= 1);
+        let meter = noisy_meter(7, 180).2;
+        let decoded = fhmm.decode(&meter);
+        let mut filter = fhmm.filter().unwrap();
+        let mut checkpoint = None;
+        for (t, &x) in meter.samples().iter().enumerate() {
+            filter.push(x);
+            if t == 90 {
+                checkpoint = Some(filter.clone());
+            }
+        }
+        assert_eq!(filter.paths(), decoded);
+        let mut restored = checkpoint.unwrap();
+        for &x in &meter.samples()[91..] {
+            restored.push(x);
+        }
+        assert_eq!(restored.paths(), decoded, "resumed");
     }
 }

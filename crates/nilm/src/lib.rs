@@ -41,7 +41,7 @@ pub mod train;
 
 pub use estimate::{evaluate_disaggregation, DeviceEstimate, DeviceScore, Disaggregator};
 pub use events::{extract_events, profile, UsageEvent, UsageProfile};
-pub use fhmm::{with_thread_arena, DecodeArena, DecodePrecision, Fhmm, FhmmConfig, FhmmFilter};
+pub use fhmm::{Fhmm, FhmmConfig, FhmmFilter};
 pub use hart::HartNilm;
 pub use powerplay::{PowerPlay, PowerPlayConfig};
 pub use train::{train_device_hmm, DeviceHmm};

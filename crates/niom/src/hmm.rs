@@ -159,181 +159,6 @@ fn log_sum_exp(a: f64, b: f64) -> f64 {
     m + ((a - m).exp() + (b - m).exp()).ln()
 }
 
-/// Batched forward pass over `B` lanes, each with its own [`Hmm2`]
-/// parameters and observation vector (all the same length `n`), in the
-/// transposed SoA layout `alpha[(t * 2 + s) * B + lane]` so the inner
-/// loop over lanes is contiguous. Per lane this performs exactly the
-/// serial forward recurrence's operations in the same order.
-fn forward_batch(hmms: &[Hmm2], xs_list: &[&[f64]], alpha: &mut Vec<f64>) {
-    let lanes = hmms.len();
-    let n = xs_list[0].len();
-    alpha.clear();
-    alpha.resize(n * 2 * lanes, f64::NEG_INFINITY);
-    for s in 0..2 {
-        let row = &mut alpha[s * lanes..(s + 1) * lanes];
-        for (b, slot) in row.iter_mut().enumerate() {
-            *slot = hmms[b].log_pi[s] + hmms[b].log_emission(s, xs_list[b][0]);
-        }
-    }
-    for t in 1..n {
-        let (prev, cur) = alpha.split_at_mut(t * 2 * lanes);
-        let prev = &prev[(t - 1) * 2 * lanes..];
-        for s in 0..2 {
-            let row = &mut cur[s * lanes..(s + 1) * lanes];
-            for (b, slot) in row.iter_mut().enumerate() {
-                let a = prev[b] + hmms[b].log_a[0][s];
-                let c = prev[lanes + b] + hmms[b].log_a[1][s];
-                *slot = log_sum_exp(a, c) + hmms[b].log_emission(s, xs_list[b][t]);
-            }
-        }
-    }
-}
-
-/// Batched backward pass in the same SoA layout as [`forward_batch`].
-fn backward_batch(hmms: &[Hmm2], xs_list: &[&[f64]], beta: &mut Vec<f64>) {
-    let lanes = hmms.len();
-    let n = xs_list[0].len();
-    beta.clear();
-    beta.resize(n * 2 * lanes, 0.0);
-    for t in (0..n.saturating_sub(1)).rev() {
-        let (cur, nxt) = beta.split_at_mut((t + 1) * 2 * lanes);
-        let cur = &mut cur[t * 2 * lanes..];
-        let nxt = &nxt[..2 * lanes];
-        for s in 0..2 {
-            let row = &mut cur[s * lanes..(s + 1) * lanes];
-            for (b, slot) in row.iter_mut().enumerate() {
-                let a = hmms[b].log_a[s][0] + hmms[b].log_emission(0, xs_list[b][t + 1]) + nxt[b];
-                let c = hmms[b].log_a[s][1]
-                    + hmms[b].log_emission(1, xs_list[b][t + 1])
-                    + nxt[lanes + b];
-                *slot = log_sum_exp(a, c);
-            }
-        }
-    }
-}
-
-/// Batched forward-backward: per-lane `gamma`/`xi` expectations,
-/// byte-identical to [`Hmm2::forward_backward`] on each lane alone.
-#[allow(clippy::type_complexity)]
-fn forward_backward_batch(
-    hmms: &[Hmm2],
-    xs_list: &[&[f64]],
-    alpha: &mut Vec<f64>,
-    beta: &mut Vec<f64>,
-) -> (Vec<Vec<[f64; 2]>>, Vec<Vec<[[f64; 2]; 2]>>) {
-    let lanes = hmms.len();
-    let n = xs_list[0].len();
-    forward_batch(hmms, xs_list, alpha);
-    backward_batch(hmms, xs_list, beta);
-    let at = |t: usize, s: usize, b: usize| alpha[(t * 2 + s) * lanes + b];
-    let bt = |t: usize, s: usize, b: usize| beta[(t * 2 + s) * lanes + b];
-
-    let mut gammas = vec![vec![[0.0f64; 2]; n]; lanes];
-    let mut xis = vec![vec![[[0.0f64; 2]; 2]; n.saturating_sub(1)]; lanes];
-    for (b, (gamma, xi)) in gammas.iter_mut().zip(&mut xis).enumerate() {
-        let hmm = &hmms[b];
-        let xs = xs_list[b];
-        let log_z = log_sum_exp(at(n - 1, 0, b), at(n - 1, 1, b));
-        for (t, g) in gamma.iter_mut().enumerate() {
-            for (s, slot) in g.iter_mut().enumerate() {
-                *slot = (at(t, s, b) + bt(t, s, b) - log_z).exp();
-            }
-            let norm: f64 = g[0] + g[1];
-            if norm > 0.0 {
-                g[0] /= norm;
-                g[1] /= norm;
-            }
-        }
-        for (t, x) in xi.iter_mut().enumerate() {
-            let mut total = f64::NEG_INFINITY;
-            let mut raw = [[0.0f64; 2]; 2];
-            for (i, row) in raw.iter_mut().enumerate() {
-                for (j, slot) in row.iter_mut().enumerate() {
-                    let v = at(t, i, b)
-                        + hmm.log_a[i][j]
-                        + hmm.log_emission(j, xs[t + 1])
-                        + bt(t + 1, j, b);
-                    *slot = v;
-                    total = log_sum_exp(total, v);
-                }
-            }
-            for (xr, rr) in x.iter_mut().zip(&raw) {
-                for (slot, &v) in xr.iter_mut().zip(rr) {
-                    *slot = (v - total).exp();
-                }
-            }
-        }
-    }
-    (gammas, xis)
-}
-
-/// Batched 2-state Viterbi in the SoA layout `delta[(t * 2 + s) * B + b]`;
-/// per lane byte-identical to [`Hmm2::viterbi`] (same `via0 >= via1`
-/// tie-break toward state 0).
-fn viterbi_lanes(hmms: &[Hmm2], xs_list: &[&[f64]]) -> Vec<Vec<usize>> {
-    let lanes = hmms.len();
-    let n = xs_list[0].len();
-    if n == 0 {
-        return vec![Vec::new(); lanes];
-    }
-    let mut delta = vec![f64::NEG_INFINITY; n * 2 * lanes];
-    let mut back = vec![0u8; n * 2 * lanes];
-    for s in 0..2 {
-        let row = &mut delta[s * lanes..(s + 1) * lanes];
-        for (b, slot) in row.iter_mut().enumerate() {
-            *slot = hmms[b].log_pi[s] + hmms[b].log_emission(s, xs_list[b][0]);
-        }
-    }
-    for t in 1..n {
-        let (prev, cur) = delta.split_at_mut(t * 2 * lanes);
-        let prev = &prev[(t - 1) * 2 * lanes..];
-        let back_t = &mut back[t * 2 * lanes..(t + 1) * 2 * lanes];
-        for s in 0..2 {
-            let row = &mut cur[s * lanes..(s + 1) * lanes];
-            let back_row = &mut back_t[s * lanes..(s + 1) * lanes];
-            for (b, (slot, from)) in row.iter_mut().zip(back_row.iter_mut()).enumerate() {
-                let via0 = prev[b] + hmms[b].log_a[0][s];
-                let via1 = prev[lanes + b] + hmms[b].log_a[1][s];
-                let (best, arg) = if via0 >= via1 {
-                    (via0, 0u8)
-                } else {
-                    (via1, 1u8)
-                };
-                *slot = best + hmms[b].log_emission(s, xs_list[b][t]);
-                *from = arg;
-            }
-        }
-    }
-    let mut paths = vec![vec![0usize; n]; lanes];
-    for (b, path) in paths.iter_mut().enumerate() {
-        let last = (n - 1) * 2 * lanes;
-        path[n - 1] = if delta[last + b] >= delta[last + lanes + b] {
-            0
-        } else {
-            1
-        };
-        for t in (0..n - 1).rev() {
-            path[t] = back[(t + 1) * 2 * lanes + path[t + 1] * lanes + b] as usize;
-        }
-    }
-    paths
-}
-
-/// One home's inputs to [`HmmDetector::detect_from_windows_batch`]: the
-/// trace geometry plus its precomputed `(window start, mean)` pairs.
-#[derive(Debug, Clone, Copy)]
-pub struct WindowLane<'a> {
-    /// Timestamp of the lane's first sample.
-    pub start: Timestamp,
-    /// Sampling resolution of the lane.
-    pub resolution: Resolution,
-    /// Trace length in samples.
-    pub len: usize,
-    /// `(window start index, window mean)` pairs, exactly as
-    /// `WindowStats::new(meter, detector.window)` yields them.
-    pub windows: &'a [(usize, f64)],
-}
-
 impl HmmDetector {
     /// The percentile-split initial model the EM refinement starts from.
     fn init_hmm(&self, xs: &[f64]) -> Hmm2 {
@@ -350,7 +175,7 @@ impl HmmDetector {
         }
     }
 
-    /// One EM M-step, shared verbatim by the serial and batched fits.
+    /// One EM M-step.
     fn m_step(&self, hmm: &mut Hmm2, xs: &[f64], gamma: &[[f64; 2]], xi: &[[[f64; 2]; 2]]) {
         for s in 0..2 {
             let weight: f64 = gamma.iter().map(|g| g[s]).sum();
@@ -380,110 +205,26 @@ impl HmmDetector {
         }
     }
 
-    /// Batched unsupervised fit over equal-length window-mean lanes: every
-    /// lane's EM runs the fixed `em_iterations` count (no early exit), so
-    /// lanes advance in lockstep through one batched forward-backward per
-    /// iteration and the fitted models match the serial [`fit`](Self::fit)
-    /// bit for bit.
-    fn fit_batch(&self, xs_list: &[&[f64]]) -> Vec<Hmm2> {
-        let mut hmms: Vec<Hmm2> = xs_list.iter().map(|xs| self.init_hmm(xs)).collect();
-        let mut alpha = Vec::new();
-        let mut beta = Vec::new();
-        for _ in 0..self.em_iterations {
-            let (gammas, xis) = forward_backward_batch(&hmms, xs_list, &mut alpha, &mut beta);
-            for (b, hmm) in hmms.iter_mut().enumerate() {
-                self.m_step(hmm, xs_list[b], &gammas[b], &xis[b]);
-            }
-        }
-        hmms
-    }
-
-    /// Batched [`detect_from_windows`](Self::detect_from_windows) over `B`
-    /// homes: lanes with the same window count share one batched EM fit and
-    /// one batched Viterbi pass (SoA over lanes); short lanes fall back
-    /// exactly like the serial path. Output order matches input order and
-    /// every lane is byte-identical to its serial detection.
-    pub fn detect_from_windows_batch(&self, lanes: &[WindowLane<'_>]) -> Vec<LabelSeries> {
-        let mut out: Vec<Option<LabelSeries>> = (0..lanes.len()).map(|_| None).collect();
-        let mut groups: std::collections::BTreeMap<usize, Vec<usize>> =
-            std::collections::BTreeMap::new();
-        for (i, lane) in lanes.iter().enumerate() {
-            if lane.len == 0 {
-                out[i] = Some(LabelSeries::new(lane.start, lane.resolution, Vec::new()));
-            } else if lane.windows.len() < 4 {
-                // Too little data for EM; fall back to "all unoccupied"
-                // (no night prior, matching the serial fallback).
-                out[i] = Some(LabelSeries::new(
-                    lane.start,
-                    lane.resolution,
-                    vec![false; lane.len],
-                ));
-            } else {
-                groups.entry(lane.windows.len()).or_default().push(i);
-            }
-        }
-        for idxs in groups.into_values() {
-            let means: Vec<Vec<f64>> = idxs
-                .iter()
-                .map(|&i| lanes[i].windows.iter().map(|&(_, m)| m).collect())
-                .collect();
-            let xs_list: Vec<&[f64]> = means.iter().map(|m| m.as_slice()).collect();
-            let hmms = self.fit_batch(&xs_list);
-            let paths = viterbi_lanes(&hmms, &xs_list);
-            for ((&i, hmm), path) in idxs.iter().zip(&hmms).zip(&paths) {
-                let occupied_state = if hmm.mu[0] >= hmm.mu[1] { 0 } else { 1 };
-                out[i] = Some(self.labels_from_path(&lanes[i], path, occupied_state));
-            }
-        }
-        out.into_iter()
-            .map(|l| l.expect("every lane labelled"))
-            .collect()
-    }
-
-    /// Batched [`detect`](OccupancyDetector::detect): computes each meter's
-    /// window means, then runs [`detect_from_windows_batch`](Self::detect_from_windows_batch).
-    pub fn detect_batch(&self, meters: &[&PowerTrace]) -> Vec<LabelSeries> {
-        let _span = obs::span("niom.hmm.detect_batch");
-        obs::gauge_set("niom.hmm.batch_size", meters.len() as f64);
-        let windows: Vec<Vec<(usize, f64)>> = meters
-            .iter()
-            .map(|m| {
-                obs::counter_add("niom.hmm.samples", m.len() as u64);
-                WindowStats::new(m, self.window)
-                    .map(|(i, s)| (i, s.mean))
-                    .collect()
-            })
-            .collect();
-        let lanes: Vec<WindowLane<'_>> = meters
-            .iter()
-            .zip(&windows)
-            .map(|(m, w)| WindowLane {
-                start: m.start(),
-                resolution: m.resolution(),
-                len: m.len(),
-                windows: w,
-            })
-            .collect();
-        self.detect_from_windows_batch(&lanes)
-    }
-
-    /// Expands a decoded window-state path into sample labels and applies
-    /// the night prior — the shared tail of the serial and batched paths.
+    /// Expands a decoded window-state path over a `len`-sample trace into
+    /// sample labels and applies the night prior.
     fn labels_from_path(
         &self,
-        lane: &WindowLane<'_>,
+        start: Timestamp,
+        resolution: Resolution,
+        len: usize,
+        windows: &[(usize, f64)],
         path: &[usize],
         occupied_state: usize,
     ) -> LabelSeries {
-        let mut labels = vec![false; lane.len];
-        for (&(w_start, _), &state) in lane.windows.iter().zip(path) {
+        let mut labels = vec![false; len];
+        for (&(w_start, _), &state) in windows.iter().zip(path) {
             let end = (w_start + self.window).min(labels.len());
             labels[w_start..end].fill(state == occupied_state);
         }
         if let Some((from, to)) = self.night_prior {
-            crate::threshold::apply_night_prior(&mut labels, lane.start, lane.resolution, from, to);
+            crate::threshold::apply_night_prior(&mut labels, start, resolution, from, to);
         }
-        LabelSeries::new(lane.start, lane.resolution, labels)
+        LabelSeries::new(start, resolution, labels)
     }
 
     /// Fits the 2-state HMM to the window means `xs` and returns it.
@@ -522,16 +263,7 @@ impl HmmDetector {
         let hmm = self.fit(&xs);
         let path = hmm.viterbi(&xs);
         let occupied_state = if hmm.mu[0] >= hmm.mu[1] { 0 } else { 1 };
-        self.labels_from_path(
-            &WindowLane {
-                start,
-                resolution,
-                len,
-                windows,
-            },
-            &path,
-            occupied_state,
-        )
+        self.labels_from_path(start, resolution, len, windows, &path, occupied_state)
     }
 }
 
@@ -637,49 +369,5 @@ mod tests {
     #[test]
     fn detector_name() {
         assert_eq!(HmmDetector::default().name(), "niom-hmm");
-    }
-
-    /// A deterministic per-seed household-ish trace for batch tests.
-    fn varied(seed: u64, len: usize) -> PowerTrace {
-        PowerTrace::from_fn(Timestamp::ZERO, Resolution::ONE_MINUTE, len, |i| {
-            let phase = (i as f64 + seed as f64 * 97.0) * 0.11;
-            let base = 120.0 + 30.0 * phase.sin();
-            let burst = if (i + seed as usize * 13) % 97 < 20 {
-                600.0
-            } else {
-                0.0
-            };
-            base + burst
-        })
-    }
-
-    #[test]
-    fn batched_detect_matches_serial() {
-        for detector in [HmmDetector::default(), no_prior()] {
-            let meters: Vec<PowerTrace> = (0..5).map(|s| varied(s, 2_000)).collect();
-            let refs: Vec<&PowerTrace> = meters.iter().collect();
-            let batched = detector.detect_batch(&refs);
-            for (m, got) in meters.iter().zip(&batched) {
-                assert_eq!(*got, detector.detect(m));
-            }
-        }
-    }
-
-    #[test]
-    fn batched_detect_handles_ragged_and_short_lanes() {
-        let detector = no_prior();
-        let meters: Vec<PowerTrace> = vec![
-            varied(0, 2_000),
-            varied(1, 500),
-            PowerTrace::constant(Timestamp::ZERO, Resolution::ONE_MINUTE, 20, 100.0),
-            varied(2, 2_000),
-            PowerTrace::zeros(Timestamp::ZERO, Resolution::ONE_MINUTE, 0),
-        ];
-        let refs: Vec<&PowerTrace> = meters.iter().collect();
-        let batched = detector.detect_batch(&refs);
-        assert_eq!(batched.len(), meters.len());
-        for (m, got) in meters.iter().zip(&batched) {
-            assert_eq!(*got, detector.detect(m));
-        }
     }
 }

@@ -39,6 +39,6 @@ pub mod threshold;
 
 pub use detector::OccupancyDetector;
 pub use eval::{evaluate, Evaluation};
-pub use hmm::{HmmDetector, WindowLane};
+pub use hmm::HmmDetector;
 pub use supervised::LogisticDetector;
 pub use threshold::ThresholdDetector;

@@ -28,7 +28,7 @@
 //! * [`registry`] — the named attacker and defense line-ups, including
 //!   the DP ε-ladder ([`registry::DP_EPSILONS`]).
 //! * [`matrix`] — [`run_matrix`] evaluates the full
-//!   cross product through `run_fleet_supervised_with`, so per-home
+//!   cross product through `iot_privacy::run_fleet`, so per-home
 //!   panic isolation, retries, and quarantine compose with the
 //!   tournament (one designated home panics persistently in the
 //!   canonical configuration and must be quarantined in every cell).

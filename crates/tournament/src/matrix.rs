@@ -6,13 +6,13 @@ use crate::registry::{attackers, defenses};
 use iot_privacy::fleet::{home_seed, par_map};
 use iot_privacy::homesim::{Home, HomeConfig, Persona};
 use iot_privacy::nilm::{evaluate_disaggregation, train_device_hmm, Disaggregator, Fhmm};
+use iot_privacy::run_fleet;
 use iot_privacy::scenario::{AttackScore, ScenarioReport};
 use iot_privacy::stream::{
     dense_samples, feed_chunked, LogisticStream, StreamSpec, StreamState, ThresholdStream,
 };
 use iot_privacy::timeseries::rng::{derive_seed, seeded_rng};
 use iot_privacy::timeseries::{LabelSeries, PowerTrace};
-use iot_privacy::{run_fleet_supervised_with, SupervisorConfig};
 use serde_json::{json, Value};
 
 /// Devices the NILM-leakage probe tracks (small on purpose: the probe
@@ -298,7 +298,7 @@ fn chunked_detect(model: &DeployedModel, defended: &PowerTrace, chunk_len: usize
 ///
 /// Structure per defense column: all attackers fit first (adaptive ones
 /// against this column's defense), then each (attacker, defense) cell
-/// evaluates through [`run_fleet_supervised_with`] with a root seed
+/// evaluates through [`run_fleet`] with a root seed
 /// derived from the *defense key only* — every attacker row of a column
 /// therefore sees byte-identical defended evaluation traces, and the
 /// injected panic home is quarantined identically in every cell.
@@ -375,34 +375,29 @@ pub fn run_matrix(cfg: &MatrixConfig) -> MatrixResult {
             let fitted = attacker.fit(&arena, defense, cfg.rounds, fit_seed);
 
             let eval_seed = derive_seed(cfg.seed, &format!("eval:{}", spec.key));
-            let fleet = run_fleet_supervised_with(
-                cfg.eval_homes,
-                eval_seed,
-                SupervisorConfig::default(),
-                |attempt| {
-                    if Some(attempt.home) == cfg.panic_home {
-                        panic!("injected fault in home {}", attempt.home);
+            let fleet = run_fleet(cfg.eval_homes, eval_seed, |attempt| {
+                if Some(attempt.home) == cfg.panic_home {
+                    panic!("injected fault in home {}", attempt.home);
+                }
+                let world = &worlds[attempt.home];
+                let mut rng = seeded_rng(derive_seed(attempt.seed, "defense"));
+                let defended = defense.apply(&world.meter, &mut rng);
+                let score = |trace: &PowerTrace| -> AttackScore {
+                    let c = world
+                        .occupancy
+                        .confusion(&fitted.detect(trace))
+                        .expect("attack output is aligned by contract");
+                    AttackScore {
+                        accuracy: c.accuracy(),
+                        mcc: c.mcc(),
                     }
-                    let world = &worlds[attempt.home];
-                    let mut rng = seeded_rng(derive_seed(attempt.seed, "defense"));
-                    let defended = defense.apply(&world.meter, &mut rng);
-                    let score = |trace: &PowerTrace| -> AttackScore {
-                        let c = world
-                            .occupancy
-                            .confusion(&fitted.detect(trace))
-                            .expect("attack output is aligned by contract");
-                        AttackScore {
-                            accuracy: c.accuracy(),
-                            mcc: c.mcc(),
-                        }
-                    };
-                    ScenarioReport {
-                        undefended: score(&world.meter),
-                        defended: score(&defended.trace),
-                        cost: defended.cost,
-                    }
-                },
-            )
+                };
+                ScenarioReport {
+                    undefended: score(&world.meter),
+                    defended: score(&defended.trace),
+                    cost: defended.cost,
+                }
+            })
             .expect("evaluation fleet survives");
 
             let s = &fleet.summary;

@@ -7,9 +7,10 @@
 //! serializable the comparison is literal serialized bytes; elsewhere it
 //! is structural equality over every field.
 //!
-//! Thread-count independence is covered two ways: the parallel and serial
-//! streaming fleets are compared in-process here, and CI runs this whole
-//! suite under `RAYON_NUM_THREADS=1` and `=8`.
+//! Thread-count independence is covered by CI, which runs this whole
+//! suite under `RAYON_NUM_THREADS=1` (the fleet's serial reference) and
+//! `=8`; `crates/iot-privacy/tests/fleet_determinism.rs` sweeps the
+//! streaming fleet across thread counts in-process.
 
 use faults::{FaultPlan, GapFill};
 use iot_privacy_suite::defense::{BatteryLeveler, Chpr, Defense};
@@ -23,6 +24,7 @@ use iot_privacy_suite::nilm::{train_device_hmm, Disaggregator, Fhmm, FhmmConfig,
 use iot_privacy_suite::niom::{
     HmmDetector, LogisticDetector, OccupancyDetector, ThresholdDetector,
 };
+use iot_privacy_suite::run_fleet;
 use iot_privacy_suite::scenario::EnergyScenario;
 use iot_privacy_suite::stream::{
     dense_samples, faulty_samples, feed_chunked, pair_accuracy, BatteryStream, ChprStream,
@@ -32,9 +34,6 @@ use iot_privacy_suite::stream::{
 use iot_privacy_suite::streaming::StreamingScenario;
 use iot_privacy_suite::timeseries::rng::{derive_seed, seeded_rng};
 use iot_privacy_suite::timeseries::{PowerTrace, Resolution, Timestamp};
-use iot_privacy_suite::{
-    run_fleet_streaming, run_fleet_streaming_serial, run_fleet_supervised, SupervisorConfig,
-};
 
 /// The chunk lengths the contract is exercised at; `usize::MAX / 2`
 /// plays the whole trace in a single chunk.
@@ -258,35 +257,24 @@ fn streaming_scenario_report_serializes_byte_identically_to_batch() {
     }
 }
 
+/// The streaming fleet reproduces the batch fleet at whatever pool size
+/// this process runs with: serial at `RAYON_NUM_THREADS=1`, parallel
+/// otherwise (CI runs both).
 #[test]
 fn streaming_fleet_matches_batch_fleet_parallel_and_serial() {
-    let config = SupervisorConfig::default();
-    let batch = run_fleet_supervised(6, 2_024, config, |a| EnergyScenario::new(a.seed).days(1))
+    let batch = run_fleet(6, 2_024, |a| EnergyScenario::new(a.seed).days(1).run())
         .expect("non-empty fleet");
     let batch_bytes = json_bytes(&batch);
 
     for chunk_len in [60, 1_440] {
-        let parallel = run_fleet_streaming(6, 2_024, config, move |a| {
-            StreamingScenario::new(a.seed).days(1).chunk_len(chunk_len)
+        let streamed = run_fleet(6, 2_024, move |a| {
+            StreamingScenario::new(a.seed)
+                .days(1)
+                .chunk_len(chunk_len)
+                .run()
         })
         .expect("non-empty fleet");
-        assert_eq!(
-            json_bytes(&parallel),
-            batch_bytes,
-            "parallel, chunk {chunk_len}"
-        );
-
-        // Serial streaming must agree with parallel streaming regardless
-        // of the rayon pool size this process runs with.
-        let serial = run_fleet_streaming_serial(6, 2_024, config, move |a| {
-            StreamingScenario::new(a.seed).days(1).chunk_len(chunk_len)
-        })
-        .expect("non-empty fleet");
-        assert_eq!(
-            json_bytes(&serial),
-            batch_bytes,
-            "serial, chunk {chunk_len}"
-        );
+        assert_eq!(json_bytes(&streamed), batch_bytes, "chunk {chunk_len}");
     }
 }
 
