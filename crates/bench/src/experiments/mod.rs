@@ -105,7 +105,7 @@ pub enum Section {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Report {
     /// Machine-readable results — the value `--json` persists and the
-    /// conformance claim extractors read.
+    /// conformance claim metrics read.
     pub json: serde_json::Value,
     /// Tables and notes in the order the binary prints them.
     pub sections: Vec<Section>,
@@ -170,16 +170,22 @@ impl Default for Report {
 
 /// One registered experiment: its name (= binary name), where in the
 /// paper it comes from, whether its JSON is a pure function of the
-/// [`RunConfig`], and its entry point.
+/// [`RunConfig`], its cost tier, and its entry point.
 #[derive(Clone, Copy)]
 pub struct ExperimentSpec {
     /// Experiment name; equals the binary name and the `results/` stem.
     pub name: &'static str,
-    /// The paper figure/section the experiment reproduces.
+    /// The paper figure/section the experiment reproduces (and the anchor
+    /// of every conformance claim that reads it).
     pub paper_anchor: &'static str,
     /// `true` when the JSON output is deterministic given the config
-    /// (everything except the wall-clock throughput benchmark).
+    /// (everything except the wall-clock throughput benchmarks).
     pub deterministic: bool,
+    /// `true` when the experiment is fast enough in a debug build for its
+    /// conformance claims to run in the `cargo test` single-seed tier.
+    /// Only deterministic experiments are cheap: a wall-clock metric
+    /// would flake there.
+    pub cheap: bool,
     /// The library entry point.
     pub run: fn(&RunConfig) -> Report,
 }
@@ -190,6 +196,7 @@ impl std::fmt::Debug for ExperimentSpec {
             .field("name", &self.name)
             .field("paper_anchor", &self.paper_anchor)
             .field("deterministic", &self.deterministic)
+            .field("cheap", &self.cheap)
             .finish()
     }
 }
@@ -201,132 +208,154 @@ pub fn all() -> &'static [ExperimentSpec] {
             name: "fig1_occupancy_overlay",
             paper_anchor: "Fig. 1",
             deterministic: true,
+            cheap: true,
             run: fig1_occupancy_overlay::run,
         },
         ExperimentSpec {
             name: "claim_niom_accuracy",
             paper_anchor: "§II-A (Fig. 1 claim)",
             deterministic: true,
+            cheap: false,
             run: claim_niom_accuracy::run,
         },
         ExperimentSpec {
             name: "fig2_disaggregation",
             paper_anchor: "Fig. 2",
             deterministic: true,
+            cheap: false,
             run: fig2_disaggregation::run,
         },
         ExperimentSpec {
             name: "fig5_localization",
             paper_anchor: "Fig. 5",
             deterministic: true,
+            cheap: false,
             run: fig5_localization::run,
         },
         ExperimentSpec {
             name: "fig6_chpr",
             paper_anchor: "Fig. 6",
             deterministic: true,
+            cheap: true,
             run: fig6_chpr::run,
         },
         ExperimentSpec {
             name: "claim_sundance",
             paper_anchor: "§II-B (SunDance)",
             deterministic: true,
+            cheap: true,
             run: claim_sundance::run,
         },
         ExperimentSpec {
             name: "claim_private_meter",
             paper_anchor: "§III-C (verifiable billing)",
             deterministic: true,
+            cheap: true,
             run: claim_private_meter::run,
         },
         ExperimentSpec {
             name: "claim_vacation_detection",
             paper_anchor: "§II-A (extended absence)",
             deterministic: true,
+            cheap: true,
             run: claim_vacation_detection::run,
         },
         ExperimentSpec {
             name: "sec4_traffic_fingerprint",
             paper_anchor: "§IV",
             deterministic: true,
+            cheap: true,
             run: sec4_traffic_fingerprint::run,
         },
         ExperimentSpec {
             name: "ablation_privacy_knob",
             paper_anchor: "§III-E (privacy knob)",
             deterministic: true,
+            cheap: true,
             run: ablation_privacy_knob::run,
         },
         ExperimentSpec {
             name: "ablation_dp_tradeoff",
             paper_anchor: "§III-A (differential privacy)",
             deterministic: true,
+            cheap: true,
             run: ablation_dp_tradeoff::run,
         },
         ExperimentSpec {
             name: "ablation_niom_window",
             paper_anchor: "§II-A (NIOM design)",
             deterministic: true,
+            cheap: true,
             run: ablation_niom_window::run,
         },
         ExperimentSpec {
             name: "ablation_chpr_tank",
             paper_anchor: "Fig. 6 (CHPr design)",
             deterministic: true,
+            cheap: true,
             run: ablation_chpr_tank::run,
         },
         ExperimentSpec {
             name: "ablation_nilm_noise",
             paper_anchor: "Fig. 2 (robustness)",
             deterministic: true,
+            cheap: false,
             run: ablation_nilm_noise::run,
         },
         ExperimentSpec {
             name: "ablation_architectures",
             paper_anchor: "§III-D (architectures)",
             deterministic: true,
+            cheap: true,
             run: ablation_architectures::run,
         },
         ExperimentSpec {
             name: "degradation_curves",
             paper_anchor: "roadmap (robustness)",
             deterministic: true,
+            cheap: true,
             run: degradation_curves::run,
         },
         ExperimentSpec {
             name: "fleet_scale",
             paper_anchor: "roadmap (fleet throughput)",
             deterministic: false,
+            cheap: false,
             run: fleet_scale::run,
         },
         ExperimentSpec {
             name: "recovery_soak",
             paper_anchor: "roadmap (crash recovery)",
             deterministic: false,
+            cheap: false,
             run: recovery_soak::run,
         },
         ExperimentSpec {
             name: "stream_equivalence",
             paper_anchor: "roadmap (streaming)",
             deterministic: true,
+            cheap: true,
             run: stream_equivalence::run,
         },
         ExperimentSpec {
             name: "stream_throughput",
             paper_anchor: "roadmap (streaming throughput)",
             deterministic: false,
+            cheap: false,
             run: stream_throughput::run,
         },
         ExperimentSpec {
             name: "tournament",
             paper_anchor: "roadmap (adaptive adversary)",
             deterministic: true,
+            cheap: false,
             run: tournament::run,
         },
         ExperimentSpec {
             name: "shaping_arms_race",
             paper_anchor: "§IV (encrypted-traffic arms race)",
             deterministic: true,
+            cheap: false,
             run: shaping_arms_race::run,
         },
     ];
@@ -366,6 +395,11 @@ mod tests {
             assert!(seen.insert(spec.name), "duplicate experiment {}", spec.name);
             assert_eq!(find(spec.name).unwrap().name, spec.name);
             assert!(!spec.paper_anchor.is_empty());
+            assert!(
+                spec.deterministic || !spec.cheap,
+                "{}: the cargo-test tier runs only deterministic experiments",
+                spec.name
+            );
         }
         assert!(find("no_such_experiment").is_none());
     }

@@ -31,6 +31,10 @@ const ROOT_SEED: u64 = 47;
 /// against.
 pub const CHANCE_ACCURACY: f64 = 0.1;
 
+/// `FaultPlan::network_profile` intensity applied to every evaluation
+/// home's flow log before shaping.
+const FAULT_INTENSITY: f64 = 0.1;
+
 /// How one arms-race run is parameterized. [`ArmsRaceConfig::canonical`]
 /// is what the binary and the conformance harness run;
 /// [`ArmsRaceConfig::tiny`] keeps the determinism test fast.
@@ -47,9 +51,6 @@ pub struct ArmsRaceConfig {
     pub eval_days: u64,
     /// Per-policy retraining rounds for the strong attacker.
     pub rounds: usize,
-    /// `FaultPlan::network_profile` intensity applied to every evaluation
-    /// home's flow log before shaping.
-    pub fault_intensity: f64,
     /// Home index that panics on every attempt (`None` disables the
     /// panic-injection witness).
     pub panic_home: Option<usize>,
@@ -64,7 +65,6 @@ impl ArmsRaceConfig {
             train_days: 6,
             eval_days: 4,
             rounds: 2,
-            fault_intensity: 0.1,
             panic_home: Some(4),
         }
     }
@@ -77,7 +77,6 @@ impl ArmsRaceConfig {
             train_days: 2,
             eval_days: 2,
             rounds: 1,
-            fault_intensity: 0.1,
             panic_home: Some(1),
         }
     }
@@ -235,7 +234,7 @@ impl ArmsRaceResult {
                 "train_days": self.config.train_days,
                 "eval_days": self.config.eval_days,
                 "rounds": self.config.rounds,
-                "fault_intensity": self.config.fault_intensity,
+                "fault_intensity": FAULT_INTENSITY,
                 "panic_home": self.config.panic_home,
             },
             "chance_accuracy": CHANCE_ACCURACY,
@@ -350,7 +349,7 @@ pub fn run_arms_race(cfg: &ArmsRaceConfig) -> ArmsRaceResult {
             derive_seed(root, &format!("eval-home:{h}")),
         );
         let ids: Vec<u32> = trace.devices.iter().map(|d| d.device_id).collect();
-        let faulted = FaultPlan::network_profile(cfg.fault_intensity)
+        let faulted = FaultPlan::network_profile(FAULT_INTENSITY)
             .apply_flows(&trace, derive_seed(root, &format!("faults:{h}")));
         let mut faulted_trace = trace.clone();
         faulted_trace.flows = faulted.flows;
@@ -514,7 +513,7 @@ pub fn run(cfg: &RunConfig) -> Report {
             arms_cfg.eval_homes,
             arms_cfg.eval_days,
             arms_cfg.rounds,
-            arms_cfg.fault_intensity * 100.0,
+            FAULT_INTENSITY * 100.0,
         ),
     );
     report.note(format!(

@@ -60,9 +60,14 @@ pub fn run(cfg: &RunConfig) -> Report {
     );
     report.note(format!(
         "\nEvery cell ran under the fleet supervisor with home {:?} persistently \
-         faulted — quarantined in all {} cells ✓",
+         faulted — quarantined in all {} cells {}",
         matrix_cfg.panic_home,
         m.cells.len(),
+        if m.quarantine_composes() {
+            "✓"
+        } else {
+            "✗"
+        },
     ));
     nilm.add_to(
         &mut report,

@@ -3,7 +3,7 @@
 //! Runs experiments in-process via `bench::experiments`, checks each
 //! claim's extracted metric (single canonical seed by default, mean ±
 //! 95% CI over `--seeds N` decorrelated draws otherwise), compares the
-//! canonical output of every touched deterministic experiment against
+//! canonical output of every selected deterministic experiment against
 //! its golden snapshot under `results/`, and exits non-zero on any
 //! out-of-band claim or snapshot drift. Artifact flags (`--json`,
 //! `--txt`, `--metrics`) follow the `BenchArgs` contract the experiment
@@ -20,7 +20,8 @@ const USAGE: &str = "usage: check_claims [--json <path>] [--txt <path>] [--metri
   --json <path>       also write the machine-readable claim report
   --txt <path>        also write the rendered text report
   --metrics <path>    enable the observability layer and write a metrics sidecar
-  --filter <substr>   only claims whose id or experiment contains <substr>
+  --filter <substr>   only claims whose id or experiment contains <substr>,
+                      and golden experiments whose name contains it
   --seeds <N>         seed-sweep mode: N decorrelated draws per experiment,
                       pass iff mean ± 95% CI overlaps the band (default 1)
   --golden-dir <dir>  golden snapshots to diff the canonical run against
@@ -109,7 +110,7 @@ fn main() {
             .map(|c| {
                 vec![
                     c.id.to_string(),
-                    c.anchor.to_string(),
+                    c.anchor().to_string(),
                     c.experiment.to_string(),
                     c.band.describe(),
                 ]
@@ -143,15 +144,13 @@ fn main() {
         }
     }
 
-    let selected = runner::select(&cli.opts);
-    if selected.is_empty() {
+    let result = runner::run(&cli.opts);
+    if result.outcomes.is_empty() && result.golden.is_empty() {
         usage_error(&format!(
-            "--filter '{}' matches no registered claim",
+            "--filter '{}' matches no registered claim or golden-checked experiment",
             cli.opts.filter.as_deref().unwrap_or("")
         ));
     }
-
-    let result = runner::run_claims(&selected, &cli.opts);
     let text = result.render_text();
     print!("{text}");
     bench::maybe_write_json(&cli.bench, &result.to_json()).expect("write json report");

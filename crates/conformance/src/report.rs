@@ -2,6 +2,7 @@
 //! generated `docs/CLAIMS.md` table.
 
 use crate::registry::{self, Band, Claim};
+use bench::experiments::{self, ExperimentSpec};
 use serde_json::{json, Value};
 use std::path::Path;
 
@@ -10,7 +11,7 @@ use std::path::Path;
 pub struct ClaimOutcome {
     /// The claim id.
     pub id: &'static str,
-    /// The paper anchor.
+    /// The paper anchor (the owning experiment's).
     pub anchor: &'static str,
     /// The claim's one-line statement.
     pub title: &'static str,
@@ -34,7 +35,7 @@ impl ClaimOutcome {
     fn base(claim: &Claim) -> ClaimOutcome {
         ClaimOutcome {
             id: claim.id,
-            anchor: claim.anchor,
+            anchor: claim.anchor(),
             title: claim.title,
             experiment: claim.experiment,
             band: claim.band,
@@ -266,7 +267,7 @@ impl ConformanceReport {
 /// # Errors
 ///
 /// Returns a message naming the artifact or claim at fault when an
-/// artifact is missing, unparsable, or an extractor fails on it.
+/// artifact is missing, unparsable, or a claim's metric fails on it.
 pub fn render_claims_md(results_dir: &Path) -> Result<String, String> {
     let mut out = String::from(
         "# Machine-checked paper claims\n\n\
@@ -277,9 +278,11 @@ pub fn render_claims_md(results_dir: &Path) -> Result<String, String> {
          a test in `crates/conformance/tests/artifacts.rs` fails if this file\n\
          drifts from the registry or the artifacts.\n\n\
          Single-seed runs check the canonical value against the band; seed-sweep\n\
-         runs (`--seeds N`) check the sweep mean ± 95% CI instead. See\n\
-         `crates/conformance/src/registry.rs` for extractors and\n\
-         `docs/EXPERIMENTS.md` for the experiments themselves.\n\n\
+         runs (`--seeds N`) check the sweep mean ± 95% CI instead. Each claim's\n\
+         metric (a JSON path or a derived function) is in\n\
+         `crates/conformance/src/registry.rs`; its paper anchor is its experiment's,\n\
+         from `crates/bench/src/experiments/mod.rs`. See `docs/EXPERIMENTS.md`\n\
+         for the experiments themselves.\n\n\
          | claim | paper anchor | experiment | band | canonical | status |\n\
          |---|---|---|---|---|---|\n",
     );
@@ -289,12 +292,14 @@ pub fn render_claims_md(results_dir: &Path) -> Result<String, String> {
             .map_err(|e| format!("{}: cannot read {}: {e}", claim.id, path.display()))?;
         let value: Value = serde_json::from_str(&text)
             .map_err(|e| format!("{}: {} is not JSON: {e:?}", claim.id, path.display()))?;
-        let measured = (claim.extract)(&value)
-            .map_err(|e| format!("{}: extractor failed on {}: {e}", claim.id, path.display()))?;
+        let measured = claim
+            .metric
+            .read(&value)
+            .map_err(|e| format!("{}: metric failed on {}: {e}", claim.id, path.display()))?;
         out.push_str(&format!(
             "| `{}` | {} | `{}` | {} | {:.4} | {} |\n",
             claim.id,
-            claim.anchor,
+            claim.anchor(),
             claim.experiment,
             claim.band.describe(),
             measured,
@@ -305,10 +310,22 @@ pub fn render_claims_md(results_dir: &Path) -> Result<String, String> {
             }
         ));
     }
-    out.push_str(
-        "\n`fleet_scale` carries no claims: its artifact holds wall-clock timings,\n\
-         so it is the one experiment whose JSON is not a pure function of the seed.\n",
-    );
+    let names = |keep: fn(&ExperimentSpec) -> bool| {
+        let names: Vec<String> = experiments::all()
+            .iter()
+            .filter(|spec| keep(spec))
+            .map(|spec| format!("`{}`", spec.name))
+            .collect();
+        names.join(", ")
+    };
+    out.push_str(&format!(
+        "\nArtifacts that hold wall-clock timings, so their JSON is not a pure\n\
+         function of the seed: {}.\n\n\
+         Experiments with no claim, checked only against their golden snapshot:\n\
+         {}.\n",
+        names(|spec| !spec.deterministic),
+        names(|spec| registry::all().iter().all(|c| c.experiment != spec.name)),
+    ));
     Ok(out)
 }
 

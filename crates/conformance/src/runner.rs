@@ -24,7 +24,7 @@ pub struct Options {
     /// Directory of golden `results/*.json` snapshots to compare the
     /// canonical run against (`None` skips the golden tier).
     pub golden_dir: Option<PathBuf>,
-    /// Restrict to claims marked cheap — the `cargo test` tier.
+    /// Restrict to experiments marked cheap — the `cargo test` tier.
     pub cheap_only: bool,
 }
 
@@ -43,7 +43,7 @@ impl Default for Options {
 pub fn select(opts: &Options) -> Vec<&'static Claim> {
     registry::all()
         .iter()
-        .filter(|c| !opts.cheap_only || c.cheap)
+        .filter(|c| !opts.cheap_only || experiments::find(c.experiment).is_some_and(|e| e.cheap))
         .filter(|c| match &opts.filter {
             Some(f) => c.id.contains(f.as_str()) || c.experiment.contains(f.as_str()),
             None => true,
@@ -54,9 +54,7 @@ pub fn select(opts: &Options) -> Vec<&'static Claim> {
 /// Nondeterministic experiments whose artifacts still join the golden
 /// tier after *timing projection*: wall-clock keys are stripped from both
 /// the snapshot and the fresh run, and the remaining structure (sizes,
-/// equivalence flags, summaries) must match exactly. These run even when
-/// no claim selects them, so their checked-in artifacts cannot silently
-/// drift.
+/// equivalence flags, summaries) must match exactly.
 const GOLDEN_PROJECTED: &[&str] = &["stream_throughput", "recovery_soak"];
 
 /// Whether an object key carries a wall-clock (or machine-local)
@@ -144,7 +142,7 @@ pub fn run_claims(claims: &[&'static Claim], opts: &Options) -> ConformanceRepor
         let mut errors = Vec::new();
         for offset in 0..seeds {
             match &runs[&(claim.experiment, offset)] {
-                Ok(json) => match (claim.extract)(json) {
+                Ok(json) => match claim.metric.read(json) {
                     Ok(v) => values.push(v),
                     Err(e) => errors.push(format!("offset {offset}: {e}")),
                 },
@@ -162,35 +160,29 @@ pub fn run_claims(claims: &[&'static Claim], opts: &Options) -> ConformanceRepor
         outcomes.push(outcome);
     }
 
-    // Golden tier: compare each deterministic experiment's canonical JSON
-    // against its checked-in snapshot.
+    // Golden tier: compare the canonical JSON of every deterministic (or
+    // projected) experiment that a selected claim reads or `opts` selects
+    // by name against its checked-in snapshot, reported in name order.
     let mut goldens = Vec::new();
     if let Some(dir) = &opts.golden_dir {
-        let mut by_experiment: BTreeMap<&str, Vec<&'static str>> = BTreeMap::new();
-        for claim in claims {
-            by_experiment
-                .entry(claim.experiment)
-                .or_default()
-                .push(claim.id);
-        }
-        // Projected experiments join the snapshot tier claim-less.
-        for &name in GOLDEN_PROJECTED {
-            let selected = opts
-                .filter
-                .as_ref()
-                .is_none_or(|f| name.contains(f.as_str()));
-            if selected && experiments::find(name).is_some() {
-                by_experiment.entry(name).or_default();
-                runs.entry((name, 0))
-                    .or_insert_with(|| run_experiment(name, 0));
-            }
-        }
-        for (experiment, claim_ids) in by_experiment {
-            let spec = experiments::find(experiment).expect("selected experiments resolve");
+        for spec in experiments::all() {
+            let experiment = spec.name;
             let projected = GOLDEN_PROJECTED.contains(&experiment);
-            if !spec.deterministic && !projected {
+            let claim_ids: Vec<&'static str> = claims
+                .iter()
+                .filter(|c| c.experiment == experiment)
+                .map(|c| c.id)
+                .collect();
+            let named = (!opts.cheap_only || spec.cheap)
+                && opts
+                    .filter
+                    .as_ref()
+                    .is_none_or(|f| experiment.contains(f.as_str()));
+            if !(spec.deterministic || projected) || (claim_ids.is_empty() && !named) {
                 continue;
             }
+            runs.entry((experiment, 0))
+                .or_insert_with(|| run_experiment(experiment, 0));
             let path = dir.join(format!("{experiment}.json"));
             // A snapshot that does not exist yet is a *new artifact*, not
             // drift: the experiment postdates the golden directory (e.g. a
@@ -218,7 +210,7 @@ pub fn run_claims(claims: &[&'static Claim], opts: &Options) -> ConformanceRepor
                 ),
             };
             goldens.push(GoldenOutcome {
-                experiment: spec.name,
+                experiment,
                 anchor: spec.paper_anchor,
                 claim_ids,
                 passed: diffs.is_empty(),
@@ -226,6 +218,7 @@ pub fn run_claims(claims: &[&'static Claim], opts: &Options) -> ConformanceRepor
                 diffs,
             });
         }
+        goldens.sort_by_key(|g| g.experiment);
     }
 
     ConformanceReport {
@@ -281,7 +274,9 @@ mod tests {
             ..Options::default()
         });
         assert!(!cheap.is_empty() && cheap.len() < all.len());
-        assert!(cheap.iter().all(|c| c.cheap));
+        assert!(cheap
+            .iter()
+            .all(|c| experiments::find(c.experiment).unwrap().cheap));
     }
 
     #[test]

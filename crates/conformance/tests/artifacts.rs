@@ -58,20 +58,21 @@ fn every_json_artifact_round_trips_through_serde_json() {
 fn every_claim_holds_against_its_canonical_artifact() {
     // The single-seed claim check, evaluated from the checked-in
     // artifacts instead of a fresh run: fast, and catches a band or
-    // extractor drifting away from what the repo actually records. The
+    // metric drifting away from what the repo actually records. The
     // `claims` CI job replays the same bands against fresh runs.
     let results = repo_root().join("results");
     for claim in registry::all() {
         let path = results.join(format!("{}.json", claim.experiment));
         let value: Value = serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        let measured = (claim.extract)(&value).unwrap_or_else(|e| {
-            panic!("{}: extractor failed on {}: {e}", claim.id, path.display())
-        });
+        let measured = claim
+            .metric
+            .read(&value)
+            .unwrap_or_else(|e| panic!("{}: metric failed on {}: {e}", claim.id, path.display()));
         assert!(
             claim.band.contains(measured),
             "{} ({}): canonical artifact value {measured} outside band {}",
             claim.id,
-            claim.anchor,
+            claim.anchor(),
             claim.band.describe()
         );
     }
@@ -104,7 +105,7 @@ fn tournament_and_robust_claim_families_hold_against_canonical_artifacts() {
             let path = results.join(format!("{}.json", claim.experiment));
             let value: Value =
                 serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-            let measured = (claim.extract)(&value).unwrap();
+            let measured = claim.metric.read(&value).unwrap();
             assert!(
                 claim.band.contains(measured),
                 "{}: canonical artifact value {measured} outside band {}",

@@ -80,6 +80,28 @@ fn golden_drift_fails_with_exit_one_naming_experiment_and_claims() {
         stdout.contains("$.mcc_before"),
         "diff names the path:\n{stdout}"
     );
+
+    // An experiment no claim reads is golden-checked too, selected by name.
+    std::fs::write(
+        dir.join("ablation_niom_window.json"),
+        r#"{"experiment": "ablation_niom_window", "points": []}"#,
+    )
+    .unwrap();
+    let out = check_claims(
+        &["--filter", "ablation_niom_window", "--golden-dir", "."],
+        None,
+        &dir,
+    );
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("GOLDEN DRIFT ablation_niom_window — §II-A (NIOM design)"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("$.points"),
+        "diff names the path:\n{stdout}"
+    );
 }
 
 /// The deterministic section of a metrics sidecar: counters and gauges

@@ -1,9 +1,9 @@
-//! The `cargo test` conformance tier: every claim marked `cheap` runs
-//! in-process on the canonical seed, plus harness-level failure-path
+//! The `cargo test` conformance tier: every claim of an experiment marked
+//! `cheap` runs in-process on the canonical seed, plus harness-level failure-path
 //! coverage (a deliberately broken band must fail loudly, naming the
 //! claim id and paper anchor).
 
-use conformance::registry::{self, Band, Claim};
+use conformance::registry::{self, Band, Claim, Metric};
 use conformance::{runner, Options};
 
 #[test]
@@ -29,16 +29,10 @@ fn cheap_single_seed_claims_hold() {
 /// runner must fail, and the rendered report must name the claim.
 static BROKEN: Claim = Claim {
     id: "demo.broken-band",
-    anchor: "Fig. 6",
     title: "Deliberately impossible tolerance (harness failure-path test)",
     experiment: "fig6_chpr",
     band: Band::Absolute { lo: 9.0, hi: 10.0 },
-    extract: |v| {
-        v.get("mcc_before")
-            .and_then(serde_json::Value::as_f64)
-            .ok_or_else(|| "missing mcc_before".to_string())
-    },
-    cheap: true,
+    metric: Metric::Num("mcc_before"),
 };
 
 #[test]

@@ -18,7 +18,8 @@
 //! crashed service can be [`recover`](FleetService::recover)ed from
 //! disk and continue byte-identically to an uninterrupted run. Store
 //! defects surface as typed [`StoreError`]s: transient write failures
-//! are retried with bounded backoff (`fleetd.store.retries`), and
+//! are retried immediately, a bounded number of times
+//! (`fleetd.store.retries`), and
 //! unrecoverable records are either replayed from re-admitted readings
 //! ([`RecoveryPolicy::Rebuild`], `fleetd.store.rebuilds`) or excluded
 //! with their error preserved ([`RecoveryPolicy::Quarantine`],
@@ -36,6 +37,9 @@ use std::path::PathBuf;
 use stream::{Sample, StreamFill, StreamSpec, StreamState, ThresholdStream};
 use timeseries::rng::{derive_seed, home_seed};
 use timeseries::{LabelSeries, Resolution, Timestamp};
+
+/// Retries per store write on a transient error.
+const MAX_STORE_RETRIES: u32 = 4;
 
 /// Where the fleet keeps its cold-tier checkpoint frames.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,12 +99,6 @@ pub struct FleetdConfig {
     pub store: StoreConfig,
     /// Policy for unrecoverable checkpoints.
     pub recovery: RecoveryPolicy,
-    /// Bounded retries per store write on transient errors.
-    pub max_store_retries: u32,
-    /// Base backoff between retries, doubled per attempt. Zero (the
-    /// default) keeps tests and experiments fast; outputs never depend
-    /// on it.
-    pub retry_backoff_ms: u64,
     /// Injected storage faults (identity by default). The injector is
     /// seeded `derive_seed(root_seed, "store-faults")` and keys every
     /// decision on `(home, generation)`, so faulted runs stay
@@ -119,8 +117,6 @@ impl Default for FleetdConfig {
             root_seed: 7,
             store: StoreConfig::Memory,
             recovery: RecoveryPolicy::Rebuild,
-            max_store_retries: 4,
-            retry_backoff_ms: 0,
             store_faults: FaultPlan::default(),
         }
     }
@@ -330,11 +326,11 @@ impl Shard {
         self.quarantined.insert(home, err);
     }
 
-    /// Writes `frame` with bounded retries on transient errors.
+    /// Writes `frame`, retrying a transient error immediately up to
+    /// [`MAX_STORE_RETRIES`] times.
     fn put_with_retry(
         cold: &mut Box<dyn CheckpointStore>,
         retries: &mut u64,
-        cfg: &FleetdConfig,
         home: usize,
         generation: u64,
         frame: &[u8],
@@ -343,16 +339,10 @@ impl Shard {
         loop {
             match cold.put(home, generation, frame) {
                 Ok(()) => return Ok(()),
-                Err(e) if e.is_transient() && attempt < cfg.max_store_retries => {
+                Err(e) if e.is_transient() && attempt < MAX_STORE_RETRIES => {
                     attempt += 1;
                     *retries += 1;
                     obs::counter_add("fleetd.store.retries", 1);
-                    if cfg.retry_backoff_ms > 0 {
-                        let shift = (attempt - 1).min(6);
-                        std::thread::sleep(std::time::Duration::from_millis(
-                            cfg.retry_backoff_ms << shift,
-                        ));
-                    }
                 }
                 Err(e) => return Err(e),
             }
@@ -423,16 +413,9 @@ impl Shard {
     /// and puts it in the store. A home whose frame cannot be written
     /// even after retries has lost its durable copy *and* its live
     /// stream — it is quarantined with the write error.
-    fn evict(&mut self, home: usize, stream: ThresholdStream, write_gen: u64, cfg: &FleetdConfig) {
+    fn evict(&mut self, home: usize, stream: ThresholdStream, write_gen: u64) {
         let frame = store::frame_checkpoint(home as u64, write_gen, &stream.into_compact());
-        match Self::put_with_retry(
-            &mut self.cold,
-            &mut self.retries,
-            cfg,
-            home,
-            write_gen,
-            &frame,
-        ) {
+        match Self::put_with_retry(&mut self.cold, &mut self.retries, home, write_gen, &frame) {
             Ok(()) => self.evictions += 1,
             Err(err) => self.quarantine(home, err),
         }
@@ -442,7 +425,7 @@ impl Shard {
     /// mode only): after this, the store holds a current frame for
     /// every non-quarantined home, which is what makes the round
     /// recoverable.
-    fn sync_resident(&mut self, write_gen: u64, cfg: &FleetdConfig) {
+    fn sync_resident(&mut self, write_gen: u64) {
         let homes: Vec<usize> = self.resident.keys().copied().collect();
         for home in homes {
             let frame = store::frame_checkpoint(
@@ -450,14 +433,9 @@ impl Shard {
                 write_gen,
                 &self.resident[&home].compact_checkpoint(),
             );
-            if let Err(err) = Self::put_with_retry(
-                &mut self.cold,
-                &mut self.retries,
-                cfg,
-                home,
-                write_gen,
-                &frame,
-            ) {
+            if let Err(err) =
+                Self::put_with_retry(&mut self.cold, &mut self.retries, home, write_gen, &frame)
+            {
                 self.quarantine(home, err);
             }
         }
@@ -491,11 +469,11 @@ impl Shard {
                 kept += 1;
                 self.resident.insert(home, stream);
             } else {
-                self.evict(home, stream, write_gen, cfg);
+                self.evict(home, stream, write_gen);
             }
         }
         if cfg.durable_root().is_some() {
-            self.sync_resident(write_gen, cfg);
+            self.sync_resident(write_gen);
         }
     }
 
@@ -776,22 +754,10 @@ impl FleetService {
         self.rounds
     }
 
-    fn shard_homes(&self, shard: usize) -> Vec<usize> {
-        (shard..self.homes).step_by(self.cfg.shards).collect()
-    }
-
     /// Admits one round of [`synthetic_chunk`](crate::synthetic_chunk)
     /// readings (`samples_per_home` each), shards in parallel.
     pub fn admit_round(&mut self, round: u64, samples_per_home: usize) {
         self.admit_round_with(round, &|seed, round, out| {
-            crate::gen::synthetic_chunk(seed, round, samples_per_home, out)
-        });
-    }
-
-    /// Serial reference for [`admit_round`](Self::admit_round): the
-    /// determinism tests assert both leave identical state.
-    pub fn admit_round_serial(&mut self, round: u64, samples_per_home: usize) {
-        self.admit_round_with_serial(round, &|seed, round, out| {
             crate::gen::synthetic_chunk(seed, round, samples_per_home, out)
         });
     }
@@ -817,20 +783,6 @@ impl FleetService {
                 shard.admit_round(&shard_homes, round, &cfg, gen);
                 shard
             });
-        self.finish_round();
-    }
-
-    /// Serial reference for [`admit_round_with`](Self::admit_round_with).
-    pub fn admit_round_with_serial<F>(&mut self, round: u64, gen: &F)
-    where
-        F: Fn(u64, u64, &mut Vec<Sample>),
-    {
-        let _span = obs::span("fleetd.admit");
-        let cfg = self.cfg.clone();
-        for i in 0..self.shards.len() {
-            let shard_homes = self.shard_homes(i);
-            self.shards[i].admit_round(&shard_homes, round, &cfg, gen);
-        }
         self.finish_round();
     }
 
@@ -927,11 +879,10 @@ impl FleetService {
     /// the current round counter, so a following
     /// [`recover`](Self::recover) sees them as current.
     pub fn evict_all(&mut self) {
-        let cfg = self.cfg.clone();
         let write_gen = self.rounds;
         for shard in &mut self.shards {
             for (home, stream) in std::mem::take(&mut shard.resident) {
-                shard.evict(home, stream, write_gen, &cfg);
+                shard.evict(home, stream, write_gen);
             }
         }
     }
@@ -1070,24 +1021,31 @@ mod tests {
     use super::*;
     use faults::StoreFault;
 
-    fn run(cfg: FleetdConfig, homes: usize, rounds: u64, serial: bool) -> FleetService {
+    fn run(cfg: FleetdConfig, homes: usize, rounds: u64) -> FleetService {
         let mut svc = FleetService::new(cfg, homes);
         for round in 0..rounds {
-            if serial {
-                svc.admit_round_serial(round, 30);
-            } else {
-                svc.admit_round(round, 30);
-            }
+            svc.admit_round(round, 30);
         }
         svc
     }
 
     #[test]
     fn parallel_equals_serial() {
-        let a = run(FleetdConfig::default(), 333, 3, false);
-        let b = run(FleetdConfig::default(), 333, 3, true);
-        assert_eq!(a.digest(), b.digest());
-        assert_eq!(a.memory(), b.memory());
+        // The serial reference is the one-thread run. `RAYON_NUM_THREADS`
+        // is process-global, so no other test here sets it.
+        let prior = std::env::var("RAYON_NUM_THREADS").ok();
+        std::env::set_var("RAYON_NUM_THREADS", "1");
+        let serial = run(FleetdConfig::default(), 333, 3);
+        for threads in ["2", "8"] {
+            std::env::set_var("RAYON_NUM_THREADS", threads);
+            let parallel = run(FleetdConfig::default(), 333, 3);
+            assert_eq!(parallel.digest(), serial.digest(), "{threads} threads");
+            assert_eq!(parallel.memory(), serial.memory(), "{threads} threads");
+        }
+        match prior {
+            Some(n) => std::env::set_var("RAYON_NUM_THREADS", n),
+            None => std::env::remove_var("RAYON_NUM_THREADS"),
+        }
     }
 
     #[test]
@@ -1096,7 +1054,7 @@ mod tests {
             resident_cap: Some(64),
             ..FleetdConfig::default()
         };
-        let svc = run(cfg, 500, 3, false);
+        let svc = run(cfg, 500, 3);
         let mem = svc.memory();
         assert!(mem.resident_homes <= 64, "{mem:?}");
         assert_eq!(mem.resident_homes + mem.cold_homes, 500);
@@ -1110,8 +1068,8 @@ mod tests {
             resident_cap: Some(32),
             ..FleetdConfig::default()
         };
-        let a = run(capped, 300, 4, false);
-        let b = run(FleetdConfig::default(), 300, 4, false);
+        let a = run(capped, 300, 4);
+        let b = run(FleetdConfig::default(), 300, 4);
         assert_eq!(a.digest(), b.digest());
         for home in [0, 1, 63, 64, 150, 299] {
             assert_eq!(a.finalize_home(home), b.finalize_home(home), "home {home}");
@@ -1120,7 +1078,7 @@ mod tests {
 
     #[test]
     fn digest_tracks_every_home() {
-        let svc = run(FleetdConfig::default(), 130, 2, false);
+        let svc = run(FleetdConfig::default(), 130, 2);
         let d = svc.digest();
         assert_eq!(d.homes, 130);
         assert_eq!(d.samples, 130 * 2 * 30);
@@ -1129,7 +1087,7 @@ mod tests {
 
     #[test]
     fn evict_all_reaches_cold_floor() {
-        let mut svc = run(FleetdConfig::default(), 100, 2, false);
+        let mut svc = run(FleetdConfig::default(), 100, 2);
         let before = svc.digest();
         svc.evict_all();
         let mem = svc.memory();
@@ -1182,9 +1140,8 @@ mod tests {
                 stream.feed(&chunk);
             }
             for (i, shard) in svc.shards.iter().enumerate() {
-                let live: Vec<usize> = svc
-                    .shard_homes(i)
-                    .into_iter()
+                let live: Vec<usize> = (i..svc.homes)
+                    .step_by(svc.cfg.shards)
                     .filter(|home| !shard.quarantined.contains_key(home))
                     .collect();
                 let (cold, resident) = live.split_at(live.len().saturating_sub(cap));

@@ -253,8 +253,8 @@ pub fn decode_frame(bytes: &[u8]) -> Result<Frame, FrameError> {
 
 /// Typed failure of a checkpoint-store operation — the storage-side
 /// analogue of the supervisor's typed pipeline errors (PR 4): the
-/// service retries [transient](StoreError::is_transient) errors with
-/// bounded backoff and quarantines or rebuilds homes on the rest.
+/// service retries [transient](StoreError::is_transient) errors a
+/// bounded number of times and quarantines or rebuilds homes on the rest.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoreError {
     /// Transient IO failure; a bounded retry may succeed.

@@ -1,44 +1,52 @@
 //! Resident-service determinism: parallel admission must leave the
-//! fleet byte-identical to serial admission, and eviction/rehydration
+//! fleet byte-identical to the one-thread run, and eviction/rehydration
 //! must be invisible to every home's finalized output. CI runs this
 //! binary at `RAYON_NUM_THREADS` 1 and 8.
 
 use fleetd::{FleetService, FleetdConfig};
 
-fn drive(cfg: FleetdConfig, homes: usize, rounds: u64, serial: bool) -> FleetService {
+fn drive(cfg: FleetdConfig, homes: usize, rounds: u64) -> FleetService {
     let mut svc = FleetService::new(cfg, homes);
     for round in 0..rounds {
-        if serial {
-            svc.admit_round_serial(round, 24);
-        } else {
-            svc.admit_round(round, 24);
-        }
+        svc.admit_round(round, 24);
     }
     svc
 }
 
 #[test]
 fn parallel_digest_equals_serial_at_any_thread_count() {
-    for homes in [1, 63, 64, 65, 1_000] {
-        let par = drive(FleetdConfig::default(), homes, 3, false);
-        let ser = drive(FleetdConfig::default(), homes, 3, true);
-        assert_eq!(par.digest(), ser.digest(), "{homes} homes");
-        assert_eq!(par.memory(), ser.memory(), "{homes} homes");
-    }
-}
-
-#[test]
-fn capped_parallel_equals_capped_serial() {
-    let cfg = FleetdConfig {
+    // The serial reference is the one-thread run. `RAYON_NUM_THREADS` is
+    // process-global, and the harness runs separate `#[test]`s
+    // concurrently, so every thread-count case lives in this one test.
+    let capped = FleetdConfig {
         resident_cap: Some(100),
         ..FleetdConfig::default()
     };
-    let par = drive(cfg.clone(), 1_000, 4, false);
-    let ser = drive(cfg, 1_000, 4, true);
-    assert_eq!(par.digest(), ser.digest());
-    assert_eq!(par.memory(), ser.memory());
-    assert_eq!(par.evictions(), ser.evictions());
-    assert_eq!(par.rehydrations(), ser.rehydrations());
+    let cases = [1, 63, 64, 65, 1_000]
+        .map(|homes| (FleetdConfig::default(), homes, 3))
+        .into_iter()
+        .chain([(capped, 1_000, 4)]);
+    let prior = std::env::var("RAYON_NUM_THREADS").ok();
+    for (cfg, homes, rounds) in cases {
+        std::env::set_var("RAYON_NUM_THREADS", "1");
+        let serial = drive(cfg.clone(), homes, rounds);
+        for threads in ["2", "8"] {
+            std::env::set_var("RAYON_NUM_THREADS", threads);
+            let par = drive(cfg.clone(), homes, rounds);
+            let ctx = format!(
+                "{homes} homes, cap {:?}, {threads} threads",
+                cfg.resident_cap
+            );
+            assert_eq!(par.digest(), serial.digest(), "{ctx}");
+            assert_eq!(par.memory(), serial.memory(), "{ctx}");
+            assert_eq!(par.evictions(), serial.evictions(), "{ctx}");
+            assert_eq!(par.rehydrations(), serial.rehydrations(), "{ctx}");
+        }
+    }
+    match prior {
+        Some(n) => std::env::set_var("RAYON_NUM_THREADS", n),
+        None => std::env::remove_var("RAYON_NUM_THREADS"),
+    }
 }
 
 #[test]
@@ -47,8 +55,8 @@ fn capped_fleet_output_is_byte_identical_to_always_resident() {
         resident_cap: Some(64),
         ..FleetdConfig::default()
     };
-    let evicting = drive(capped, 1_000, 3, false);
-    let resident = drive(FleetdConfig::default(), 1_000, 3, false);
+    let evicting = drive(capped, 1_000, 3);
+    let resident = drive(FleetdConfig::default(), 1_000, 3);
     assert!(evicting.evictions() > 0, "cap must actually evict");
     assert_eq!(evicting.digest(), resident.digest());
     // Spot-check whole label series, not just the digest.
@@ -63,7 +71,7 @@ fn capped_fleet_output_is_byte_identical_to_always_resident() {
 
 #[test]
 fn digest_is_stable_across_repeat_runs() {
-    let a = drive(FleetdConfig::default(), 500, 2, false);
-    let b = drive(FleetdConfig::default(), 500, 2, false);
+    let a = drive(FleetdConfig::default(), 500, 2);
+    let b = drive(FleetdConfig::default(), 500, 2);
     assert_eq!(a.digest(), b.digest());
 }
