@@ -130,7 +130,7 @@ fn bench_hot_paths(c: &mut Criterion) {
     });
 
     // fleetd's checkpoint bytes. A home with 200 closed windows (3000
-    // samples at the default 15-sample window) frames to ~8 KB, the
+    // samples at the default 15-sample window) frames to ~3.2 KB, the
     // size a long-lived home reaches in the `fleet-history` workload.
     let crc_input: Vec<u8> = (0..64 * 1024).map(|i| (i * 31 % 251) as u8).collect();
     c.bench_function("fleetd/crc32_64k", |b| {
@@ -152,7 +152,9 @@ fn bench_hot_paths(c: &mut Criterion) {
 
     let frame = fleetd::store::frame_checkpoint(42, 7, &cp);
     c.bench_function("fleetd/validate_frame_200_windows", |b| {
-        b.iter(|| fleetd::store::validate_frame(&frame, 42, 7).expect("valid frame"))
+        b.iter(|| {
+            fleetd::store::validate_frame(&frame, 42, 7, detector.window).expect("valid frame")
+        })
     });
 
     // What the service does per cold home and round, minus the feed and
@@ -163,7 +165,8 @@ fn bench_hot_paths(c: &mut Criterion) {
         b.iter(|| {
             let stream = live.take().expect("restored by the previous cycle");
             let frame = fleetd::store::frame_checkpoint(42, 7, &stream.into_compact());
-            let cp = fleetd::store::validate_frame(&frame, 42, 7).expect("valid frame");
+            let cp =
+                fleetd::store::validate_frame(&frame, 42, 7, detector.window).expect("valid frame");
             live = Some(ThresholdStream::from_compact_owned(
                 detector.clone(),
                 day_spec,

@@ -737,9 +737,9 @@ pub fn all() -> &'static [Claim] {
         },
         Claim {
             id: "fleet.resident-bytes-per-home",
-            title: "An evicted home costs at most 512 bytes at every ladder rung (10^4..10^6)",
+            title: "An evicted home costs at most 160 bytes at every ladder rung (10^4..10^6)",
             experiment: "fleet_scale",
-            band: Band::AtMost { hi: 512.0 },
+            band: Band::AtMost { hi: 160.0 },
             metric: Derived(resident_cold_bytes_max),
         },
         Claim {

@@ -1,35 +1,46 @@
 //! Compact binary codec for evicted per-home checkpoints.
 //!
 //! An evicted home is exactly one encoded
-//! [`stream::WindowCheckpoint`]: the fill automaton
-//! (one tagged scalar), the open-window samples, and one 40-byte
-//! [`Summary`] per closed window. Window `i` always starts at sample
-//! `i × window`, so neither the window starts nor the open window's
-//! start are stored. The format is little-endian, versioned by a
-//! 4-byte magic, and round-trips exactly (`decode(encode(cp)) == cp`,
-//! including NaN payloads bit-for-bit) — the property the eviction
-//! identity claim leans on.
+//! [`stream::WindowCheckpoint`] of its [`stream::ThresholdStream`]: the
+//! fill automaton (one tagged scalar), the open-window samples, and one
+//! 16-byte [`MeanVariance`] per closed window — the mean and variance the
+//! threshold detector classifies a window by, and nothing else. Window
+//! `i` always starts at sample `i × window`, so neither the window starts
+//! nor the open window's start are stored. The format is little-endian,
+//! fixed-width (no varints, no compression: an encoding's length depends
+//! on its open-sample and closed-window counts alone, never on the
+//! wattages), versioned by a 4-byte magic, and round-trips exactly
+//! (`decode(encode(cp)) == cp`, including NaN payloads bit-for-bit) —
+//! the property the eviction identity claim leans on.
 //!
 //! Layout (all integers little-endian):
 //!
 //! ```text
-//! magic   4 bytes  "FDC2"
+//! magic   4 bytes  "FDC3"
 //! fill    1 + 8    tag (0 passthrough, 1 zero, 2 hold-pending, 3 hold-last)
 //!                  + u64 count or f64 watts payload (zero if unused)
 //! open    4 + 8n   u32 count + f64 samples
-//! closed  4 + 40n  u32 count + f64 mean/variance/range/min/max
+//! closed  4 + 16n  u32 count + f64 mean, f64 variance
 //! ```
 //!
-//! The previous version, `"FDC1"`, also stored a u64 start per closed
-//! window and the open window's start. It is not decoded: an `FDC1`
-//! record fails with [`CodecError::BadMagic`], which the store reports
-//! as corrupt and the service's recovery policy then handles.
+//! Earlier versions are not decoded. `"FDC2"` stored each closed window
+//! as a 40-byte summary (mean, variance, range, min, max); `"FDC1"` also
+//! stored a u64 start per closed window and the open window's start.
+//! Either fails with [`CodecError::BadMagic`], which the store reports as
+//! corrupt and the service's recovery policy then handles.
 
+use niom::MeanVariance;
 use stream::{FillCheckpoint, WindowCheckpoint};
-use timeseries::Summary;
 
 /// First four bytes of every encoded checkpoint.
-pub const MAGIC: [u8; 4] = *b"FDC2";
+pub const MAGIC: [u8; 4] = *b"FDC3";
+
+/// Byte offset of the open-window count: after the magic and the fill
+/// tag and payload.
+pub(crate) const OPEN_COUNT_OFFSET: usize = 4 + 9;
+
+/// Encoded bytes per closed window.
+const RECORD_BYTES: usize = 16;
 
 /// Why a byte buffer failed to decode as a checkpoint.
 ///
@@ -103,17 +114,19 @@ impl std::error::Error for CodecError {}
 /// # Examples
 ///
 /// ```
+/// use niom::MeanVariance;
 /// use stream::{FillCheckpoint, WindowCheckpoint};
 ///
 /// let cp = WindowCheckpoint {
 ///     fill: FillCheckpoint::Passthrough,
 ///     open: vec![120.0, 350.5],
-///     closed: Vec::new(),
+///     closed: vec![MeanVariance { mean: 210.0, variance: 12_100.0 }],
 /// };
 /// let bytes = fleetd::codec::encode(&cp);
+/// assert_eq!(bytes.len(), 21 + 2 * 8 + 16);
 /// assert_eq!(fleetd::codec::decode(&bytes).unwrap(), cp);
 /// ```
-pub fn encode(cp: &WindowCheckpoint) -> Vec<u8> {
+pub fn encode(cp: &WindowCheckpoint<MeanVariance>) -> Vec<u8> {
     let mut out = Vec::with_capacity(encoded_len(cp));
     encode_into(cp, &mut out);
     out
@@ -122,7 +135,7 @@ pub fn encode(cp: &WindowCheckpoint) -> Vec<u8> {
 /// Appends the encoding of `cp` to `out` — what [`encode`] returns,
 /// written in place (the store frames checkpoints this way, straight
 /// after the frame header).
-pub fn encode_into(cp: &WindowCheckpoint, out: &mut Vec<u8>) {
+pub fn encode_into(cp: &WindowCheckpoint<MeanVariance>, out: &mut Vec<u8>) {
     out.extend_from_slice(&MAGIC);
     let (tag, payload): (u8, u64) = match cp.fill {
         FillCheckpoint::Passthrough => (0, 0),
@@ -137,17 +150,16 @@ pub fn encode_into(cp: &WindowCheckpoint, out: &mut Vec<u8>) {
         out.extend_from_slice(&x.to_le_bytes());
     }
     out.extend_from_slice(&(cp.closed.len() as u32).to_le_bytes());
-    for s in &cp.closed {
-        for v in [s.mean, s.variance, s.range, s.min, s.max] {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
+    for r in &cp.closed {
+        out.extend_from_slice(&r.mean.to_le_bytes());
+        out.extend_from_slice(&r.variance.to_le_bytes());
     }
 }
 
 /// Exact byte length [`encode`] produces for `cp` — the cold-store cost
 /// of evicting this home.
-pub fn encoded_len(cp: &WindowCheckpoint) -> usize {
-    4 + 9 + 4 + 8 * cp.open.len() + 4 + 40 * cp.closed.len()
+pub fn encoded_len(cp: &WindowCheckpoint<MeanVariance>) -> usize {
+    OPEN_COUNT_OFFSET + 4 + 8 * cp.open.len() + 4 + RECORD_BYTES * cp.closed.len()
 }
 
 struct Reader<'a> {
@@ -192,7 +204,7 @@ impl<'a> Reader<'a> {
 ///
 /// [`CodecError`] on truncation, magic mismatch, an unknown fill tag, or
 /// trailing bytes. Never panics on malformed input.
-pub fn decode(bytes: &[u8]) -> Result<WindowCheckpoint, CodecError> {
+pub fn decode(bytes: &[u8]) -> Result<WindowCheckpoint<MeanVariance>, CodecError> {
     let mut r = Reader { buf: bytes, at: 0 };
     if r.take(4)? != MAGIC {
         return Err(CodecError::BadMagic);
@@ -218,14 +230,11 @@ pub fn decode(bytes: &[u8]) -> Result<WindowCheckpoint, CodecError> {
         open.push(r.f64()?);
     }
     let closed_len = r.u32()? as usize;
-    let mut closed = Vec::with_capacity(closed_len.min(bytes.len() / 40));
+    let mut closed = Vec::with_capacity(closed_len.min(bytes.len() / RECORD_BYTES));
     for _ in 0..closed_len {
-        closed.push(Summary {
+        closed.push(MeanVariance {
             mean: r.f64()?,
             variance: r.f64()?,
-            range: r.f64()?,
-            min: r.f64()?,
-            max: r.f64()?,
         });
     }
     if r.at != bytes.len() {
@@ -241,30 +250,24 @@ pub fn decode(bytes: &[u8]) -> Result<WindowCheckpoint, CodecError> {
 mod tests {
     use super::*;
 
-    fn sample_checkpoint() -> WindowCheckpoint {
+    fn sample_checkpoint() -> WindowCheckpoint<MeanVariance> {
         WindowCheckpoint {
             fill: FillCheckpoint::HoldLast(432.5),
             open: vec![120.0, f64::NAN, 0.0, -1.5],
             closed: vec![
-                Summary {
+                MeanVariance {
                     mean: 1.0,
                     variance: 2.0,
-                    range: 3.0,
-                    min: 4.0,
-                    max: 5.0,
                 },
-                Summary {
-                    mean: -1.0,
-                    variance: 0.0,
-                    range: f64::INFINITY,
-                    min: f64::MIN,
-                    max: f64::MAX,
+                MeanVariance {
+                    mean: f64::MIN,
+                    variance: f64::INFINITY,
                 },
             ],
         }
     }
 
-    fn bit_eq(a: &WindowCheckpoint, b: &WindowCheckpoint) -> bool {
+    fn bit_eq(a: &WindowCheckpoint<MeanVariance>, b: &WindowCheckpoint<MeanVariance>) -> bool {
         // PartialEq is false under NaN; compare payload bits instead.
         encode(a) == encode(b)
     }

@@ -375,7 +375,9 @@ impl Shard {
         // `take`; the explicit removes on the error branches cover a
         // failed `take`.
         let verdict = match self.cold.take(home) {
-            Ok(Some(bytes)) => store::validate_frame(&bytes, home, round).map(Some),
+            Ok(Some(bytes)) => {
+                store::validate_frame(&bytes, home, round, cfg.detector.window).map(Some)
+            }
             // Rounds are sequential from 0 and every home is fed every
             // round, so a missing frame after round 0 is a lost record.
             Ok(None) if round == 0 => Ok(None),
@@ -497,7 +499,10 @@ impl Shard {
                 continue;
             }
             let verdict = match self.cold.get(home) {
-                Ok(Some(bytes)) => store::validate_frame(&bytes, home, expected_gen).map(|_| ()),
+                Ok(Some(bytes)) => {
+                    store::validate_frame(&bytes, home, expected_gen, cfg.detector.window)
+                        .map(|_| ())
+                }
                 Ok(None) if expected_gen == 0 && !self.rebuild.contains(&home) => Ok(()),
                 Ok(None) => Err(StoreError::Missing { home }),
                 Err(e) => Err(e),
@@ -559,7 +564,8 @@ impl Shard {
                             .get(home)
                             .expect("listed frame must be readable")
                             .expect("listed frame must exist");
-                        let cp = match store::validate_frame(&bytes, home, expected_gen) {
+                        let window = cfg.detector.window;
+                        let cp = match store::validate_frame(&bytes, home, expected_gen, window) {
                             Ok(cp) => cp,
                             Err(e) => panic!(
                                 "cold frame for home {home} unrecoverable ({e}); \
@@ -701,7 +707,10 @@ impl FleetService {
                 let shard_homes: Vec<usize> = (i..homes).step_by(cfg_ref.shards).collect();
                 for home in shard_homes {
                     let verdict = match shard.cold.get(home) {
-                        Ok(Some(bytes)) => store::validate_frame(&bytes, home, rounds).map(|_| ()),
+                        Ok(Some(bytes)) => {
+                            store::validate_frame(&bytes, home, rounds, cfg_ref.detector.window)
+                                .map(|_| ())
+                        }
                         Ok(None) if rounds == 0 => Ok(()),
                         Ok(None) => Err(StoreError::Missing { home }),
                         Err(e) => Err(e),
@@ -968,7 +977,7 @@ impl FleetService {
             return Some(s.finalize());
         }
         let bytes = shard.cold.get(home).ok()??;
-        let cp = store::validate_frame(&bytes, home, self.rounds).ok()?;
+        let cp = store::validate_frame(&bytes, home, self.rounds, self.cfg.detector.window).ok()?;
         Some(
             ThresholdStream::from_compact_owned(self.cfg.detector.clone(), self.cfg.spec, cp)
                 .finalize(),

@@ -20,7 +20,7 @@
 //! gen      8        u64 generation (rounds completed when written)
 //! len      4        u32 payload byte length
 //! crc      4        CRC32 (IEEE) over home‖gen‖len‖payload
-//! payload  len      codec-encoded WindowCheckpoint ("FDC2", see codec)
+//! payload  len      codec-encoded WindowCheckpoint ("FDC3", see codec)
 //! ```
 //!
 //! Every eviction frames a checkpoint and every rehydration checks one,
@@ -40,6 +40,7 @@
 use crate::codec;
 use crate::crc;
 use faults::StoreFaultInjector;
+use niom::MeanVariance;
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::Write as _;
@@ -173,7 +174,11 @@ pub fn encode_frame(home: u64, generation: u64, payload: &[u8]) -> Vec<u8> {
 /// Encodes `cp` straight into a frame: byte-identical to
 /// `encode_frame(home, generation, &codec::encode(cp))`, without the
 /// intermediate payload buffer. The eviction path of the service.
-pub fn frame_checkpoint(home: u64, generation: u64, cp: &WindowCheckpoint) -> Vec<u8> {
+pub fn frame_checkpoint(
+    home: u64,
+    generation: u64,
+    cp: &WindowCheckpoint<MeanVariance>,
+) -> Vec<u8> {
     let len = codec::encoded_len(cp);
     let mut out = Vec::with_capacity(FRAME_OVERHEAD + len);
     write_header(&mut out, home, generation, len);
@@ -586,16 +591,20 @@ impl CheckpointStore for FaultyStore {
     }
 }
 
-/// Fully validates a stored frame for `home` at `expected_generation`:
-/// frame parse + CRC, ownership, generation, then codec decode of the
-/// payload. This is the single gate every load in the service goes
-/// through, so every storage defect surfaces as a typed [`StoreError`]
-/// with a byte offset instead of a panic deep in the codec.
+/// Fully validates a stored frame for `home` at `expected_generation`
+/// and a detector of `window` samples: frame parse + CRC, ownership,
+/// generation, codec decode of the payload, then that the open window
+/// holds fewer than `window` samples. This is the single gate every
+/// load in the service goes through, so every storage defect — and a
+/// checkpoint written under a window its open samples cannot fit —
+/// surfaces as a typed [`StoreError`] with a byte offset instead of a
+/// panic in the codec or the stream restore.
 pub fn validate_frame(
     bytes: &[u8],
     home: usize,
     expected_generation: u64,
-) -> Result<WindowCheckpoint, StoreError> {
+    window: usize,
+) -> Result<WindowCheckpoint<MeanVariance>, StoreError> {
     let frame = parse_frame(bytes).map_err(|e| StoreError::Corrupt {
         home,
         offset: e.offset(),
@@ -615,11 +624,22 @@ pub fn validate_frame(
             expected: expected_generation,
         });
     }
-    codec::decode(frame.payload).map_err(|e| StoreError::Corrupt {
+    let cp = codec::decode(frame.payload).map_err(|e| StoreError::Corrupt {
         home,
         offset: FRAME_OVERHEAD + e.offset(),
         detail: format!("payload: {e}"),
-    })
+    })?;
+    if cp.open.len() >= window {
+        return Err(StoreError::Corrupt {
+            home,
+            offset: FRAME_OVERHEAD + codec::OPEN_COUNT_OFFSET,
+            detail: format!(
+                "open window of {} samples cannot belong to a window of {window}",
+                cp.open.len()
+            ),
+        });
+    }
+    Ok(cp)
 }
 
 /// The fleet-level commit record of a durable run: written atomically
@@ -750,7 +770,9 @@ mod tests {
     use super::*;
     use faults::{FaultPlan, StoreFault};
     use stream::FillCheckpoint;
-    use timeseries::Summary;
+
+    /// The detector window the test payloads are validated against.
+    const WINDOW: usize = 15;
 
     fn payload() -> Vec<u8> {
         codec::encode(&WindowCheckpoint {
@@ -760,59 +782,139 @@ mod tests {
         })
     }
 
-    fn golden_checkpoint() -> WindowCheckpoint {
+    fn golden_checkpoint() -> WindowCheckpoint<MeanVariance> {
         WindowCheckpoint {
             fill: FillCheckpoint::HoldLast(211.5),
             open: vec![120.0, -0.5],
             closed: vec![
-                Summary {
+                MeanVariance {
                     mean: 1.0,
                     variance: 2.0,
-                    range: 3.0,
-                    min: 4.0,
-                    max: 5.0,
                 },
-                Summary {
+                MeanVariance {
                     mean: 300.25,
                     variance: 0.0,
-                    range: 0.0,
-                    min: 300.25,
-                    max: 300.25,
                 },
             ],
         }
     }
 
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
     #[test]
     fn golden_frame_bytes() {
-        // Any change to the FDS1 frame or FDC2 codec layout, or to the
+        // Any change to the FDS1 frame or FDC3 codec layout, or to the
         // CRC, changes these bytes. The CRC field (bytes 24..28,
-        // `80bc1edd`) agrees with zlib's crc32 over home‖gen‖len‖payload.
+        // `bdf724d1`) agrees with zlib's crc32 over home‖gen‖len‖payload.
         const GOLDEN: &str = concat!(
+            "464453310500000000000000090000000000000045000000bdf724d146444333",
+            "030000000000706a40020000000000000000005e40000000000000e0bf020000",
+            "00000000000000f03f00000000000000400000000000c4724000000000000000",
+            "00",
+        );
+        let frame = frame_checkpoint(5, 9, &golden_checkpoint());
+        let hex: String = frame.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, GOLDEN);
+        let cp = validate_frame(&frame, 5, 9, WINDOW).unwrap();
+        assert_eq!(cp, golden_checkpoint());
+    }
+
+    #[test]
+    fn previous_codec_versions_are_corrupt() {
+        // The same checkpoint as `golden_frame_bytes`, framed by the FDC2
+        // codec (40-byte summaries per closed window). Like an FDC1
+        // payload, it sits in a valid frame and is refused at the codec
+        // magic, right after the frame header, so recovery rebuilds or
+        // quarantines the home like any other corrupt record.
+        const FDC2_FRAME: &str = concat!(
             "46445331050000000000000009000000000000007500000080bc1edd46444332",
             "030000000000706a40020000000000000000005e40000000000000e0bf020000",
             "00000000000000f03f0000000000000040000000000000084000000000000010",
             "4000000000000014400000000000c47240000000000000000000000000000000",
             "000000000000c472400000000000c47240",
         );
-        let frame = frame_checkpoint(5, 9, &golden_checkpoint());
-        let hex: String = frame.iter().map(|b| format!("{b:02x}")).collect();
-        assert_eq!(hex, GOLDEN);
-        let cp = validate_frame(&frame, 5, 9).unwrap();
-        assert_eq!(cp, golden_checkpoint());
+        let fdc2 = unhex(FDC2_FRAME);
+        assert!(
+            decode_frame(&fdc2).is_ok(),
+            "the FDC2 frame itself is intact"
+        );
+        let mut fdc1 = payload();
+        fdc1[..4].copy_from_slice(b"FDC1");
+        for frame in [fdc2, encode_frame(5, 9, &fdc1)] {
+            match validate_frame(&frame, 5, 9, WINDOW) {
+                Err(StoreError::Corrupt { offset, .. }) => assert_eq!(offset, FRAME_OVERHEAD),
+                other => panic!("expected corrupt payload, got {other:?}"),
+            }
+        }
     }
 
     #[test]
-    fn previous_codec_version_is_corrupt() {
-        // An FDC1 payload inside a valid frame is refused at the codec
-        // magic, right after the frame header, so recovery rebuilds or
-        // quarantines the home like any other corrupt record.
-        let mut old = payload();
-        old[..4].copy_from_slice(b"FDC1");
-        let frame = encode_frame(5, 9, &old);
-        match validate_frame(&frame, 5, 9) {
-            Err(StoreError::Corrupt { offset, .. }) => assert_eq!(offset, FRAME_OVERHEAD),
-            other => panic!("expected corrupt payload, got {other:?}"),
+    fn open_window_must_fit_the_detector_window() {
+        // Three open samples fit any window of four or more; under a
+        // window of three or fewer the frame is corrupt at its
+        // open-count field, not a panic in the stream restore.
+        let frame = encode_frame(5, 9, &payload());
+        assert!(validate_frame(&frame, 5, 9, 4).is_ok());
+        for window in [1, 2, 3] {
+            match validate_frame(&frame, 5, 9, window) {
+                Err(StoreError::Corrupt { offset, detail, .. }) => {
+                    assert_eq!(offset, 41);
+                    assert!(detail.contains("cannot belong"), "{detail}");
+                }
+                other => panic!("window {window}: expected corrupt, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn sigma_boundary_survives_the_frame() {
+        // Window 0 (100, 320, 100, 320) has variance 12 100, so σ is
+        // exactly the 110 W threshold: not flagged, since σ must exceed
+        // it. Window 1 (100, 320.5, ...) has σ = 110.25: flagged. Both
+        // means sit within the 100 W margin of the baseline, so σ alone
+        // decides. Batch detect, the stream, and a stream restored from
+        // an FDC3 frame (after both windows closed, and mid-window) must
+        // agree on both.
+        use niom::{OccupancyDetector, ThresholdDetector};
+        use stream::{dense_samples, StreamSpec, StreamState, ThresholdStream};
+        use timeseries::{PowerTrace, Resolution, Summary, Timestamp};
+
+        let detector = ThresholdDetector {
+            night_prior: None,
+            min_run_windows: 1,
+            ..ThresholdDetector::with_window(4)
+        };
+        let watts = [100.0, 320.0, 100.0, 320.0, 100.0, 320.5, 100.0, 320.5];
+        assert_eq!(
+            Summary::of(&watts[..4]).stddev(),
+            detector.sigma_threshold_watts
+        );
+        assert_eq!(Summary::of(&watts[4..]).stddev(), 110.25);
+        let trace = PowerTrace::new(Timestamp::ZERO, Resolution::ONE_MINUTE, watts.to_vec())
+            .expect("finite trace");
+        let batch = detector.detect(&trace);
+        assert_eq!(
+            batch.labels(),
+            [false, false, false, false, true, true, true, true]
+        );
+
+        let spec = StreamSpec::of_trace(&trace);
+        let samples = dense_samples(&watts);
+        for split in [6, 8] {
+            let mut head = ThresholdStream::new(detector.clone(), spec);
+            head.feed(&samples[..split]);
+            let frame = frame_checkpoint(0, 1, &head.compact_checkpoint());
+            head.feed(&samples[split..]);
+            assert_eq!(head.finalize(), batch, "stream, split {split}");
+            let cp = validate_frame(&frame, 0, 1, detector.window).expect("intact frame");
+            let mut restored = ThresholdStream::from_compact_owned(detector.clone(), spec, cp);
+            restored.feed(&samples[split..]);
+            assert_eq!(restored.finalize(), batch, "restored, split {split}");
         }
     }
 
@@ -832,7 +934,7 @@ mod tests {
         assert_eq!(frame.home, 17);
         assert_eq!(frame.generation, 3);
         assert_eq!(frame.payload, p);
-        let cp = validate_frame(&bytes, 17, 3).unwrap();
+        let cp = validate_frame(&bytes, 17, 3, WINDOW).unwrap();
         assert_eq!(crate::codec::encode(&cp), p);
     }
 
@@ -861,7 +963,7 @@ mod tests {
     fn validate_frame_checks_ownership_and_generation() {
         let bytes = encode_frame(5, 9, &payload());
         assert!(matches!(
-            validate_frame(&bytes, 6, 9),
+            validate_frame(&bytes, 6, 9, WINDOW),
             Err(StoreError::Corrupt {
                 home: 6,
                 offset: 4,
@@ -869,7 +971,7 @@ mod tests {
             })
         ));
         assert!(matches!(
-            validate_frame(&bytes, 5, 10),
+            validate_frame(&bytes, 5, 10, WINDOW),
             Err(StoreError::StaleGeneration {
                 home: 5,
                 found: 9,
@@ -879,7 +981,7 @@ mod tests {
         // A valid frame around an invalid payload reports the payload
         // offset past the frame header.
         let bad_payload = encode_frame(5, 9, b"NOPE");
-        match validate_frame(&bad_payload, 5, 9) {
+        match validate_frame(&bad_payload, 5, 9, WINDOW) {
             Err(StoreError::Corrupt { offset, .. }) => assert_eq!(offset, FRAME_OVERHEAD),
             other => panic!("expected payload corruption, got {other:?}"),
         }
@@ -979,7 +1081,7 @@ mod tests {
         let bytes = store.get(4).unwrap().unwrap();
         assert_eq!(bytes, gen0, "dropped write must leave generation 0");
         assert!(matches!(
-            validate_frame(&bytes, 4, 1),
+            validate_frame(&bytes, 4, 1, WINDOW),
             Err(StoreError::StaleGeneration {
                 found: 0,
                 expected: 1,

@@ -8,6 +8,7 @@
 use faults::{FaultPlan, StoreFault};
 use fleetd::store::{self, durable_home_path};
 use fleetd::{FleetService, FleetdConfig, RecoverError, RecoveryPolicy, StoreConfig};
+use niom::ThresholdDetector;
 use std::path::{Path, PathBuf};
 
 const HOMES: usize = 400;
@@ -207,6 +208,67 @@ fn offline_corruption_quarantines_exactly_the_corrupted_homes() {
 
     let _ = std::fs::remove_dir_all(&root_a);
     let _ = std::fs::remove_dir_all(&root_b);
+}
+
+#[test]
+fn frames_from_a_longer_window_are_corrupt_not_a_panic() {
+    // A fleet written under a 30-sample window holds 20 open samples per
+    // home after one 20-sample round. Reopened under a 15-sample window,
+    // no home's open window fits: recovery must see every frame as
+    // corrupt at its open-count field (frame byte 41) and apply the
+    // policy, instead of restoring streams that panic on the next round.
+    const HOMES: usize = 64;
+    let window = |w| ThresholdDetector::with_window(w);
+    for policy in [RecoveryPolicy::Rebuild, RecoveryPolicy::Quarantine] {
+        let root = temp_root(&format!("window-mismatch-{policy:?}"));
+        let written = FleetdConfig {
+            detector: window(30),
+            ..durable_cfg(&root)
+        };
+        let mut svc = FleetService::new(written, HOMES);
+        svc.admit_round(0, 20);
+        drop(svc);
+
+        let cfg = FleetdConfig {
+            detector: window(15),
+            recovery: policy,
+            ..durable_cfg(&root)
+        };
+        let (mut recovered, report) = FleetService::recover(cfg).expect("manifest is intact");
+        assert_eq!(report.recovered, 0, "{policy:?}");
+        recovered.admit_round(1, 20);
+        match policy {
+            RecoveryPolicy::Rebuild => {
+                assert_eq!(report.scheduled_rebuilds, HOMES);
+                assert!(report.quarantined.is_empty());
+                let mut fresh = FleetService::new(
+                    FleetdConfig {
+                        detector: window(15),
+                        shards: 16,
+                        resident_cap: Some(150),
+                        ..FleetdConfig::default()
+                    },
+                    HOMES,
+                );
+                fresh.admit_round(0, 20);
+                fresh.admit_round(1, 20);
+                assert_eq!(recovered.digest(), fresh.digest());
+            }
+            RecoveryPolicy::Quarantine => {
+                assert_eq!(report.scheduled_rebuilds, 0);
+                assert_eq!(report.quarantined.len(), HOMES);
+                for (home, err) in &report.quarantined {
+                    assert!(
+                        matches!(err, store::StoreError::Corrupt { offset: 41, .. }),
+                        "home {home}: {err}"
+                    );
+                }
+                assert_eq!(recovered.quarantined_count(), HOMES);
+                assert_eq!(recovered.digest().homes, 0);
+            }
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
 }
 
 #[test]

@@ -3,13 +3,21 @@
 //! errors cleanly, and — unlike the raw codec — ANY single-byte flip is
 //! detected by the CRC32 frame, never silently round-tripping to a
 //! different record. Framing a checkpoint directly equals framing its
-//! encoded payload.
+//! encoded payload, and a frame's length is a function of the sample
+//! count and gap mask alone, never of the wattages.
+
+mod support;
 
 use fleetd::codec;
 use fleetd::store::{self, FrameError, FRAME_OVERHEAD};
+use niom::ThresholdDetector;
 use proptest::prelude::*;
-use stream::{FillCheckpoint, WindowCheckpoint};
-use timeseries::Summary;
+use stream::{Sample, StreamFill, StreamSpec, StreamState, ThresholdStream};
+use support::{bits, checkpoint, field};
+use timeseries::{Resolution, Timestamp};
+
+/// A detector window longer than any generated open window.
+const WINDOW: usize = 64;
 
 proptest! {
     #[test]
@@ -30,44 +38,33 @@ proptest! {
     fn frame_checkpoint_equals_encode_frame(
         home in 0u64..1_000_000,
         generation in 0u64..1_000_000,
-        fill_sel in (0u8..4, 0u64..1_000, -5e3..5e3f64),
-        open in proptest::collection::vec(-1e4..1e4f64, 0..16),
-        closed_raw in proptest::collection::vec((-1e4..1e4f64, 0.0..1e6f64), 0..48),
+        fill_sel in (0u8..4, 0u64..1_000, field()),
+        open in proptest::collection::vec(field(), 0..16),
+        closed in proptest::collection::vec((field(), field()), 0..48),
     ) {
-        let (tag, n, w) = fill_sel;
-        let fill = match tag {
-            0 => FillCheckpoint::Passthrough,
-            1 => FillCheckpoint::Zero,
-            2 => FillCheckpoint::HoldPending(n),
-            _ => FillCheckpoint::HoldLast(w),
-        };
-        let closed = closed_raw
-            .into_iter()
-            .map(|(mean, variance)| Summary {
-                mean,
-                variance,
-                range: variance.sqrt(),
-                min: mean - variance.sqrt(),
-                max: mean,
-            })
-            .collect();
-        let cp = WindowCheckpoint { fill, open, closed };
+        let cp = checkpoint(fill_sel, open, closed);
         let bytes = store::frame_checkpoint(home, generation, &cp);
         prop_assert_eq!(&bytes, &store::encode_frame(home, generation, &codec::encode(&cp)));
-        let back = store::validate_frame(&bytes, home as usize, generation).unwrap();
-        prop_assert_eq!(back, cp);
+        let back = store::validate_frame(&bytes, home as usize, generation, WINDOW).unwrap();
+        prop_assert_eq!(bits(&back), bits(&cp));
     }
 
     #[test]
     fn every_prefix_truncation_errors(
         home in 0u64..1_000_000,
         generation in 0u64..1_000_000,
-        payload in proptest::collection::vec(0u8..=255, 0..96),
+        fill_sel in (0u8..4, 0u64..1_000, field()),
+        open in proptest::collection::vec(field(), 0..8),
+        closed in proptest::collection::vec((field(), field()), 0..6),
     ) {
-        let bytes = store::encode_frame(home, generation, &payload);
+        let cp = checkpoint(fill_sel, open, closed);
+        let bytes = store::frame_checkpoint(home, generation, &cp);
         for cut in 0..bytes.len() {
             let err = store::decode_frame(&bytes[..cut]).expect_err("prefix must fail");
             prop_assert!(err.offset() <= cut, "cut {}: {}", cut, err);
+            prop_assert!(
+                store::validate_frame(&bytes[..cut], home as usize, generation, WINDOW).is_err()
+            );
         }
     }
 
@@ -75,14 +72,17 @@ proptest! {
     fn every_single_byte_flip_is_detected(
         home in 0u64..1_000_000,
         generation in 0u64..1_000_000,
-        payload in proptest::collection::vec(0u8..=255, 0..96),
+        fill_sel in (0u8..4, 0u64..1_000, field()),
+        open in proptest::collection::vec(field(), 0..8),
+        closed in proptest::collection::vec((field(), field()), 0..6),
         flip in 1u8..=255,
     ) {
         // Exhaustive over positions: the magic covers bytes 0..4, the
         // CRC covers the header fields and the payload, and the length
         // field is checked against the buffer — so no flipped byte may
         // yield Ok, anywhere in the frame.
-        let mut bytes = store::encode_frame(home, generation, &payload);
+        let cp = checkpoint(fill_sel, open, closed);
+        let mut bytes = store::frame_checkpoint(home, generation, &cp);
         for at in 0..bytes.len() {
             bytes[at] ^= flip;
             prop_assert!(
@@ -93,7 +93,41 @@ proptest! {
             );
             bytes[at] ^= flip;
         }
-        prop_assert!(store::decode_frame(&bytes).is_ok(), "restore must be clean");
+        let back = store::validate_frame(&bytes, home as usize, generation, WINDOW);
+        prop_assert_eq!(bits(&back.unwrap()), bits(&cp), "restore must be clean");
+    }
+
+    #[test]
+    fn frame_length_depends_on_the_gap_mask_not_the_wattages(
+        fill in 0u8..3,
+        mask in proptest::collection::vec(0u8..4, 0..160),
+        watts_a in proptest::collection::vec(0.0..6e3f64, 160..161),
+        watts_b in proptest::collection::vec(0.0..6e3f64, 160..161),
+        split_frac in 0.0..1.0f64,
+    ) {
+        // What an observer of the store sees of a home is its frame
+        // lengths. Two homes with the same fill policy and the same gap
+        // mask (a zero draw marks a transport gap) but unrelated
+        // readings must write equally long frames at every eviction.
+        let fill = [None, Some(StreamFill::Zero), Some(StreamFill::Hold)][fill as usize];
+        let spec = StreamSpec::new(Timestamp::ZERO, Resolution::ONE_MINUTE);
+        let split = (mask.len() as f64 * split_frac) as usize;
+        let frame_lens = |watts: &[f64]| -> [usize; 2] {
+            let samples: Vec<Sample> = mask
+                .iter()
+                .zip(watts)
+                .map(|(&m, &w)| if m == 0 { Sample::gap() } else { Sample::valid(w) })
+                .collect();
+            let mut s = ThresholdStream::new(ThresholdDetector::default(), spec);
+            if let Some(fill) = fill {
+                s = s.with_fill(fill);
+            }
+            s.feed(&samples[..split]);
+            let head = store::frame_checkpoint(3, 1, &s.compact_checkpoint()).len();
+            s.feed(&samples[split..]);
+            [head, store::frame_checkpoint(3, 2, &s.into_compact()).len()]
+        };
+        prop_assert_eq!(frame_lens(&watts_a), frame_lens(&watts_b));
     }
 
     #[test]

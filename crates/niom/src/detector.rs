@@ -1,6 +1,9 @@
-//! The occupancy-detector interface.
+//! The occupancy-detector interface, and the per-window records the
+//! windowed detectors decide from.
 
-use timeseries::{LabelSeries, PipelineError, PowerTrace};
+use timeseries::{
+    LabelSeries, PipelineError, PowerTrace, Resolution, Summary, Timestamp, WindowStats,
+};
 
 /// An occupancy-detection attack: maps a smart-meter trace to an inferred
 /// binary occupancy series with the same geometry.
@@ -47,6 +50,66 @@ pub trait OccupancyDetector {
 
     /// A short human-readable name for reports.
     fn name(&self) -> &str;
+}
+
+/// What a windowed detector keeps of one window: a projection of the
+/// window's [`Summary`]. Batch detection projects the summaries
+/// [`WindowStats`] yields and a stream projects the summaries it folds
+/// from the same samples, so both read bit-identical fields.
+pub trait WindowRecord: Copy + PartialEq + std::fmt::Debug {
+    /// Keeps the fields of `summary` the detector reads.
+    fn of(summary: &Summary) -> Self;
+}
+
+/// The window mean alone: what [`HmmDetector`](crate::HmmDetector)
+/// reads.
+impl WindowRecord for f64 {
+    fn of(summary: &Summary) -> f64 {
+        summary.mean
+    }
+}
+
+/// The whole summary: what
+/// [`LogisticDetector`](crate::LogisticDetector) reads (mean, σ and
+/// range).
+impl WindowRecord for Summary {
+    fn of(summary: &Summary) -> Summary {
+        *summary
+    }
+}
+
+/// An occupancy detector that reduces the trace to one record per
+/// non-overlapping window before it decides anything (baseline
+/// percentile, EM, logistic scoring).
+pub trait WindowedDetector {
+    /// What the detector keeps per window.
+    type Record: WindowRecord;
+
+    /// Window length in samples.
+    fn window(&self) -> usize;
+
+    /// Runs detection over per-window records.
+    ///
+    /// `windows` must be exactly what [`records`](Self::records) yields
+    /// for a `len`-sample trace: `(window start index, record)` pairs in
+    /// trace order, trailing partial window included. Batch
+    /// [`detect`](OccupancyDetector::detect) is a thin wrapper over
+    /// this; the streaming layer calls it with records it accumulated
+    /// chunk by chunk, which keeps the two paths byte-identical.
+    fn detect_from_windows(
+        &self,
+        start: Timestamp,
+        resolution: Resolution,
+        len: usize,
+        windows: &[(usize, Self::Record)],
+    ) -> LabelSeries;
+
+    /// The `(window start index, record)` pairs of `meter`.
+    fn records(&self, meter: &PowerTrace) -> Vec<(usize, Self::Record)> {
+        WindowStats::new(meter, self.window())
+            .map(|(start, summary)| (start, Self::Record::of(&summary)))
+            .collect()
+    }
 }
 
 #[cfg(test)]

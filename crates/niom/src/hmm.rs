@@ -7,9 +7,9 @@
 //! give this detector better robustness to brief quiet periods than pure
 //! thresholding.
 
-use crate::detector::OccupancyDetector;
+use crate::detector::{OccupancyDetector, WindowedDetector};
 use serde::{Deserialize, Serialize};
-use timeseries::{LabelSeries, PowerTrace, Resolution, Timestamp, WindowStats};
+use timeseries::{LabelSeries, PowerTrace, Resolution, Timestamp};
 
 /// The two-state Gaussian-emission HMM occupancy detector.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -236,16 +236,18 @@ impl HmmDetector {
         }
         hmm
     }
+}
 
-    /// Runs fit + Viterbi + labelling over precomputed window means.
-    ///
-    /// `windows` must be exactly the `(window start index, window mean)`
-    /// pairs `WindowStats::new(meter, self.window)` yields for a trace with
-    /// this geometry, trailing partial window included.
-    /// [`detect`](OccupancyDetector::detect) is a thin wrapper over this;
-    /// the streaming layer calls it directly with means accumulated chunk
-    /// by chunk, keeping both paths byte-identical.
-    pub fn detect_from_windows(
+impl WindowedDetector for HmmDetector {
+    /// The window mean.
+    type Record = f64;
+
+    fn window(&self) -> usize {
+        self.window
+    }
+
+    /// Runs fit + Viterbi + labelling over the window means.
+    fn detect_from_windows(
         &self,
         start: Timestamp,
         resolution: Resolution,
@@ -274,9 +276,7 @@ impl OccupancyDetector for HmmDetector {
         }
         let _span = obs::span("niom.hmm.detect");
         obs::counter_add("niom.hmm.samples", meter.len() as u64);
-        let windows: Vec<(usize, f64)> = WindowStats::new(meter, self.window)
-            .map(|(i, s)| (i, s.mean))
-            .collect();
+        let windows = self.records(meter);
         self.detect_from_windows(meter.start(), meter.resolution(), meter.len(), &windows)
     }
 

@@ -9,14 +9,19 @@
 //! Two detectors are provided:
 //!
 //! * [`ThresholdDetector`] — the Chen et al. (BuildSys'13) style
-//!   statistical detector: per-window mean/σ/range thresholds calibrated
+//!   statistical detector: per-window mean/σ thresholds calibrated
 //!   from the trace itself.
 //! * [`HmmDetector`] — a two-state Gaussian hidden Markov model trained
 //!   unsupervised with Baum–Welch and decoded with Viterbi, in the style of
 //!   Kleiminger et al. (BuildSys'13).
 //!
 //! Both implement [`OccupancyDetector`], the interface the defense
-//! evaluations attack through.
+//! evaluations attack through. They and the supervised
+//! [`LogisticDetector`] also implement [`WindowedDetector`]: each reduces
+//! the trace to one [`WindowRecord`] per window (a projection of the
+//! window's `Summary` holding only the fields it reads) and decides from
+//! those records alone, which is what lets the streaming layer keep one
+//! record per closed window instead of the samples.
 //!
 //! # Examples
 //!
@@ -37,8 +42,8 @@ pub mod hmm;
 pub mod supervised;
 pub mod threshold;
 
-pub use detector::OccupancyDetector;
+pub use detector::{OccupancyDetector, WindowRecord, WindowedDetector};
 pub use eval::{evaluate, Evaluation};
 pub use hmm::HmmDetector;
 pub use supervised::LogisticDetector;
-pub use threshold::ThresholdDetector;
+pub use threshold::{MeanVariance, ThresholdDetector};

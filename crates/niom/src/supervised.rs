@@ -6,7 +6,7 @@
 //! a few instrumented training homes (exactly the NILM-startup scenario of
 //! the paper's Figure 3) can learn once and apply to every customer.
 
-use crate::detector::OccupancyDetector;
+use crate::detector::{OccupancyDetector, WindowedDetector};
 use crate::threshold::apply_night_prior;
 use serde::{Deserialize, Serialize};
 use timeseries::{LabelSeries, PowerTrace, Resolution, Summary, Timestamp, WindowStats};
@@ -146,15 +146,18 @@ impl LogisticDetector {
     pub fn weights(&self) -> (&[f64; N_FEATURES], f64) {
         (&self.weights, self.bias)
     }
+}
 
-    /// Applies the trained model over precomputed window summaries.
-    ///
-    /// `windows` must be exactly what `WindowStats::new(meter, self.window)`
-    /// yields for a trace with this geometry, trailing partial window
-    /// included. [`detect`](OccupancyDetector::detect) is a thin wrapper
-    /// over this; the streaming layer calls it directly with summaries it
-    /// accumulated chunk by chunk, keeping both paths byte-identical.
-    pub fn detect_from_windows(
+impl WindowedDetector for LogisticDetector {
+    /// The whole summary: the features read the mean, σ and range.
+    type Record = Summary;
+
+    fn window(&self) -> usize {
+        self.window
+    }
+
+    /// Applies the trained model over the window summaries.
+    fn detect_from_windows(
         &self,
         start: Timestamp,
         resolution: Resolution,
@@ -185,7 +188,7 @@ impl OccupancyDetector for LogisticDetector {
     fn detect(&self, meter: &PowerTrace) -> LabelSeries {
         let _span = obs::span("niom.logistic.detect");
         obs::counter_add("niom.logistic.samples", meter.len() as u64);
-        let windows: Vec<(usize, Summary)> = WindowStats::new(meter, self.window).collect();
+        let windows = self.records(meter);
         self.detect_from_windows(meter.start(), meter.resolution(), meter.len(), &windows)
     }
 

@@ -1,8 +1,36 @@
 //! Threshold-based NIOM (Chen et al., BuildSys'13).
 
-use crate::detector::OccupancyDetector;
+use crate::detector::{OccupancyDetector, WindowRecord, WindowedDetector};
 use serde::{Deserialize, Serialize};
 use timeseries::{LabelSeries, PowerTrace, Resolution, Summary, Timestamp, WindowStats};
+
+/// What [`ThresholdDetector`] keeps of a window: its mean and population
+/// variance, 16 bytes. The detector reads σ as `variance.sqrt()` when it
+/// classifies the window, as [`Summary::stddev`] does, so σ is never
+/// stored.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MeanVariance {
+    /// Arithmetic mean, watts.
+    pub mean: f64,
+    /// Population variance, watts².
+    pub variance: f64,
+}
+
+impl MeanVariance {
+    /// Population standard deviation, watts.
+    pub fn stddev(&self) -> f64 {
+        self.variance.sqrt()
+    }
+}
+
+impl WindowRecord for MeanVariance {
+    fn of(summary: &Summary) -> MeanVariance {
+        MeanVariance {
+            mean: summary.mean,
+            variance: summary.variance,
+        }
+    }
+}
 
 /// The statistical threshold detector.
 ///
@@ -73,7 +101,7 @@ impl ThresholdDetector {
 
     /// The baseline computed from window means given in trace order (the
     /// same values [`baseline_watts`](Self::baseline_watts) derives itself);
-    /// exposed so incremental callers that already hold window summaries
+    /// exposed so incremental callers that already hold window records
     /// reuse the exact batch arithmetic.
     pub fn baseline_from_window_means(&self, means_in_order: &[f64]) -> f64 {
         if means_in_order.is_empty() {
@@ -85,32 +113,32 @@ impl ThresholdDetector {
         means[rank.min(means.len() - 1)]
     }
 
-    fn classify_window(&self, summary: &Summary, baseline: f64) -> bool {
-        summary.mean > baseline + self.mean_margin_watts
-            || summary.stddev() > self.sigma_threshold_watts
+    fn classify_window(&self, record: &MeanVariance, baseline: f64) -> bool {
+        record.mean > baseline + self.mean_margin_watts
+            || record.stddev() > self.sigma_threshold_watts
+    }
+}
+
+impl WindowedDetector for ThresholdDetector {
+    type Record = MeanVariance;
+
+    fn window(&self) -> usize {
+        self.window
     }
 
-    /// Runs the full detection pipeline over precomputed window summaries.
-    ///
-    /// `windows` must be exactly what `WindowStats::new(meter, self.window)`
-    /// yields for a trace with the given geometry — `(window start index,
-    /// summary)` pairs in trace order, trailing partial window included.
-    /// [`detect`](OccupancyDetector::detect) is a thin wrapper over this;
-    /// the streaming layer calls it directly with summaries it accumulated
-    /// chunk by chunk, which keeps the two paths byte-identical.
-    pub fn detect_from_windows(
+    fn detect_from_windows(
         &self,
         start: Timestamp,
         resolution: Resolution,
         len: usize,
-        windows: &[(usize, Summary)],
+        windows: &[(usize, MeanVariance)],
     ) -> LabelSeries {
-        let means: Vec<f64> = windows.iter().map(|(_, s)| s.mean).collect();
+        let means: Vec<f64> = windows.iter().map(|(_, r)| r.mean).collect();
         let baseline = self.baseline_from_window_means(&means);
         let mut labels = vec![false; len];
         let mut window_flags = Vec::new();
-        for (w_start, summary) in windows {
-            window_flags.push((*w_start, self.classify_window(summary, baseline)));
+        for (w_start, record) in windows {
+            window_flags.push((*w_start, self.classify_window(record, baseline)));
         }
         // Smooth at window granularity.
         let flags: Vec<bool> = window_flags.iter().map(|&(_, f)| f).collect();
@@ -130,7 +158,7 @@ impl OccupancyDetector for ThresholdDetector {
     fn detect(&self, meter: &PowerTrace) -> LabelSeries {
         let _span = obs::span("niom.threshold.detect");
         obs::counter_add("niom.threshold.samples", meter.len() as u64);
-        let windows: Vec<(usize, Summary)> = WindowStats::new(meter, self.window).collect();
+        let windows = self.records(meter);
         self.detect_from_windows(meter.start(), meter.resolution(), meter.len(), &windows)
     }
 

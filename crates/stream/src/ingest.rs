@@ -1,14 +1,16 @@
 //! Shared ingestion plumbing for the power streams: gap-fill routing plus
 //! either a raw-sample buffer (buffer-and-replay pipelines) or an
-//! incremental window-summary accumulator (the NIOM detectors).
+//! incremental window-record accumulator (the NIOM detectors).
 //!
 //! The window accumulator closes window `i` at sample `i × window`, so it
-//! keeps each closed window as its 40-byte [`Summary`] alone and derives
-//! every start (and the open window's) from the closed-window count; its
+//! keeps each closed window as the one [`WindowRecord`] its detector
+//! reads (16 bytes for the threshold detector) and derives every start
+//! (and the open window's) from the closed-window count; its
 //! [`WindowCheckpoint`] has the same shape.
 
 use crate::chunk::{FillState, Sample, StreamFill};
 use crate::FeedReport;
+use niom::WindowRecord;
 use timeseries::Summary;
 
 /// The gap-fill position inside a [`WindowCheckpoint`].
@@ -35,23 +37,22 @@ pub enum FillCheckpoint {
 /// eviction/rehydration target of the resident fleet service
 /// (`crates/fleetd`, `docs/FLEET.md`).
 ///
-/// A [`crate::ThresholdStream`] (or Hmm/Logistic sibling) is detector
-/// configuration plus this: closed windows keep only their 40-byte
-/// [`Summary`] (window `i` starts at sample `i × window`, so no start is
-/// stored), the open window keeps at most `window - 1` raw samples and
-/// starts at `closed.len() × window`, and the fill automaton is one
-/// tagged scalar. Restoring via
-/// `from_compact` resumes to byte-identical output — asserted by the
-/// streaming equivalence tests and the `fleet.resident-evict-identical`
-/// conformance claim.
+/// A [`crate::NiomStream`] is detector configuration plus this: each
+/// closed window keeps only its detector's record `R` (window `i` starts
+/// at sample `i × window`, so no start is stored), the open window keeps
+/// at most `window - 1` raw samples and starts at
+/// `closed.len() × window`, and the fill automaton is one tagged scalar.
+/// Restoring via `from_compact` resumes to byte-identical output —
+/// asserted by the streaming equivalence tests and the
+/// `fleet.resident-evict-identical` conformance claim.
 #[derive(Debug, Clone, PartialEq)]
-pub struct WindowCheckpoint {
+pub struct WindowCheckpoint<R> {
     /// The fill automaton's position.
     pub fill: FillCheckpoint,
     /// Raw samples of the open (not yet full) window.
     pub open: Vec<f64>,
-    /// Summary of every closed window, in trace order.
-    pub closed: Vec<Summary>,
+    /// Record of every closed window, in trace order.
+    pub closed: Vec<R>,
 }
 
 impl FillState {
@@ -137,21 +138,21 @@ impl SampleBuf {
     }
 }
 
-/// Gap fill + incremental non-overlapping window summaries, replicating
-/// `WindowStats` over the resolved samples: closed windows keep only their
-/// [`Summary`] (closed window `i` starts at sample `i × window`), the
-/// open window keeps raw samples (at most `window` of them), and the
-/// trailing partial window is summarized on demand.
+/// Gap fill + incremental non-overlapping window records, replicating
+/// `WindowStats` projected onto `R` over the resolved samples: closed
+/// windows keep only their record (closed window `i` starts at sample
+/// `i × window`), the open window keeps raw samples (at most `window` of
+/// them), and the trailing partial window is summarized on demand.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) struct WindowBuf {
+pub(crate) struct WindowBuf<R> {
     fill: FillState,
     window: usize,
     open: Vec<f64>,
-    closed: Vec<Summary>,
+    closed: Vec<R>,
 }
 
-impl WindowBuf {
-    pub(crate) fn new(fill: Option<StreamFill>, window: usize) -> WindowBuf {
+impl<R: WindowRecord> WindowBuf<R> {
+    pub(crate) fn new(fill: Option<StreamFill>, window: usize) -> WindowBuf<R> {
         assert!(window > 0, "window must be non-empty");
         WindowBuf {
             fill: FillState::new(fill),
@@ -164,7 +165,7 @@ impl WindowBuf {
     fn push_resolved(&mut self, x: f64) {
         self.open.push(x);
         if self.open.len() == self.window {
-            self.closed.push(Summary::of(&self.open));
+            self.closed.push(R::of(&Summary::of(&self.open)));
             self.open.clear();
         }
     }
@@ -197,12 +198,12 @@ impl WindowBuf {
     /// lengths).
     pub(crate) fn heap_bytes(&self) -> usize {
         self.open.capacity() * std::mem::size_of::<f64>()
-            + self.closed.capacity() * std::mem::size_of::<Summary>()
+            + self.closed.capacity() * std::mem::size_of::<R>()
     }
 
     /// Turns the accumulator into its [`WindowCheckpoint`], moving the
     /// closed-window history rather than copying it.
-    pub(crate) fn into_compact(self) -> WindowCheckpoint {
+    pub(crate) fn into_compact(self) -> WindowCheckpoint<R> {
         WindowCheckpoint {
             fill: self.fill.to_compact(),
             open: self.open,
@@ -220,7 +221,7 @@ impl WindowBuf {
     ///
     /// Panics if `window` is zero or the checkpoint's open window is
     /// already full (it can never hold `window` samples).
-    pub(crate) fn from_compact(window: usize, cp: WindowCheckpoint) -> WindowBuf {
+    pub(crate) fn from_compact(window: usize, cp: WindowCheckpoint<R>) -> WindowBuf<R> {
         assert!(window > 0, "window must be non-empty");
         assert!(
             cp.open.len() < window,
@@ -237,9 +238,10 @@ impl WindowBuf {
         }
     }
 
-    /// The `(window start, summary)` sequence `WindowStats` would yield
-    /// over the resolved prefix, plus that prefix's length.
-    pub(crate) fn windows_and_len(&self) -> (Vec<(usize, Summary)>, usize) {
+    /// The `(window start, record)` sequence `WindowStats` projected
+    /// onto `R` would yield over the resolved prefix, plus that prefix's
+    /// length.
+    pub(crate) fn windows_and_len(&self) -> (Vec<(usize, R)>, usize) {
         let w = self.window;
         // An open leading-gap run resolves to `pending` pad values after
         // the open window, as batch fill would if the trace ended now.
@@ -255,7 +257,7 @@ impl WindowBuf {
         let mut windows = Vec::with_capacity(self.closed.len() + tail.len().div_ceil(w));
         windows.extend(self.closed.iter().enumerate().map(|(i, &s)| (i * w, s)));
         for part in tail.chunks(w) {
-            windows.push((windows.len() * w, Summary::of(part)));
+            windows.push((windows.len() * w, R::of(&Summary::of(part))));
         }
         (windows, self.closed.len() * w + tail.len())
     }
@@ -265,6 +267,7 @@ impl WindowBuf {
 mod tests {
     use super::*;
     use crate::chunk::dense_samples;
+    use niom::MeanVariance;
     use timeseries::{PowerTrace, Resolution, Timestamp, WindowStats};
 
     #[test]
@@ -276,7 +279,7 @@ mod tests {
             let trace =
                 PowerTrace::new(Timestamp::ZERO, Resolution::ONE_MINUTE, values.clone()).unwrap();
             let batch: Vec<(usize, Summary)> = WindowStats::new(&trace, 15).collect();
-            let mut buf = WindowBuf::new(None, 15);
+            let mut buf = WindowBuf::<Summary>::new(None, 15);
             buf.feed(&dense_samples(&values));
             let (windows, n) = buf.windows_and_len();
             assert_eq!(n, len);
@@ -297,7 +300,7 @@ mod tests {
         // 9 leading gaps under Hold, window 4: two full pad windows and a
         // one-sample tail, exactly what batch fill of an all-gap trace
         // gives.
-        let mut buf = WindowBuf::new(Some(StreamFill::Hold), 4);
+        let mut buf = WindowBuf::<Summary>::new(Some(StreamFill::Hold), 4);
         buf.feed(&[Sample::gap(); 9]);
         let (windows, n) = buf.windows_and_len();
         assert_eq!(n, 9);
@@ -319,7 +322,7 @@ mod tests {
             (Some(StreamFill::Hold), 7),
             (Some(StreamFill::Hold), 53),
         ] {
-            let mut whole = WindowBuf::new(fill, 15);
+            let mut whole = WindowBuf::<MeanVariance>::new(fill, 15);
             whole.feed(&samples);
 
             let mut head = WindowBuf::new(fill, 15);
@@ -339,7 +342,7 @@ mod tests {
 
     #[test]
     fn compact_checkpoint_preserves_open_hold_run() {
-        let mut buf = WindowBuf::new(Some(StreamFill::Hold), 4);
+        let mut buf = WindowBuf::<MeanVariance>::new(Some(StreamFill::Hold), 4);
         buf.feed(&[Sample::gap(), Sample::gap(), Sample::gap()]);
         let cp = buf.clone().into_compact();
         assert_eq!(cp.fill, FillCheckpoint::HoldPending(3));
@@ -353,7 +356,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot belong")]
     fn overfull_open_window_is_rejected() {
-        let cp = WindowCheckpoint {
+        let cp = WindowCheckpoint::<MeanVariance> {
             fill: FillCheckpoint::Passthrough,
             open: vec![1.0, 2.0, 3.0],
             closed: Vec::new(),

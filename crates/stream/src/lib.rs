@@ -24,11 +24,12 @@
 //! # State classes
 //!
 //! * **Incremental** — the NIOM detectors fold samples into per-window
-//!   summaries as they arrive ([`ThresholdStream`], [`HmmStream`],
-//!   [`LogisticStream`]); the exact-FHMM decoder advances its Viterbi
-//!   forward pass per sample ([`FhmmStream`] via
-//!   [`nilm::FhmmFilter`]). Non-output state is sublinear in the trace
-//!   (one summary per window; two joint-width scratch rows).
+//!   records as they arrive ([`ThresholdStream`], [`HmmStream`],
+//!   [`LogisticStream`], each keeping only the fields its detector
+//!   reads); the exact-FHMM decoder advances its Viterbi forward pass
+//!   per sample ([`FhmmStream`] via [`nilm::FhmmFilter`]). Non-output
+//!   state is sublinear in the trace (one record per window; two
+//!   joint-width scratch rows).
 //! * **Buffer-and-replay** — globally coupled algorithms (PowerPlay's
 //!   model validation, CHPr's day-indexed draw schedule, the battery's
 //!   mean-initialized target, FHMM-ICM, per-window flow features) retain
@@ -55,7 +56,7 @@ pub use defense_stream::{BatteryStream, ChprStream, DefenseStream};
 pub use ingest::{FillCheckpoint, WindowCheckpoint};
 pub use netsim_stream::{pair_accuracy, FingerprintStream, GatewayStream};
 pub use nilm_stream::{FhmmStream, PowerPlayStream};
-pub use niom_stream::{HmmStream, LogisticStream, ThresholdStream};
+pub use niom_stream::{HmmStream, LogisticStream, NiomStream, ThresholdStream};
 
 /// Per-chunk ingestion receipt: what [`StreamState::feed`] accepted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

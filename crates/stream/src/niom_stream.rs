@@ -1,180 +1,163 @@
 //! Streaming NIOM occupancy detectors.
 //!
 //! All three detectors reduce the trace to non-overlapping window
-//! statistics before doing anything global (baseline percentile, EM,
+//! records before doing anything global (baseline percentile, EM,
 //! logistic scoring), so the streaming layer folds incoming samples into
-//! those summaries as they arrive — O(len / window) retained state — and
-//! runs the detector's window-level entry point at finalize. Because the
-//! window summaries are computed by the same `Summary::of` code over the
-//! same values, the output is byte-identical to the batch `detect`.
+//! one record per closed window as they arrive — O(len / window)
+//! retained state, plus an open window of fewer than `window` samples —
+//! and runs the detector's window-level entry point at finalize. Each
+//! detector keeps only what it reads
+//! ([`WindowedDetector::Record`](niom::WindowedDetector::Record)):
+//!
+//! | stream | record | bytes |
+//! |---|---|---|
+//! | [`ThresholdStream`] | [`MeanVariance`](niom::MeanVariance): mean, variance | 16 |
+//! | [`HmmStream`] | the `f64` mean | 8 |
+//! | [`LogisticStream`] | the whole `Summary`: mean, variance, range, min, max | 40 |
+//!
+//! A record is a projection of the same `Summary::of` over the same
+//! values the batch `detect` projects, so the output is byte-identical
+//! to it.
 
 use crate::chunk::{Sample, StreamFill, StreamSpec};
-use crate::ingest::WindowBuf;
+use crate::ingest::{WindowBuf, WindowCheckpoint};
 use crate::{FeedReport, StreamState};
-use niom::{HmmDetector, LogisticDetector, ThresholdDetector};
+use niom::{HmmDetector, LogisticDetector, ThresholdDetector, WindowedDetector};
 use timeseries::LabelSeries;
 
-macro_rules! niom_stream {
-    ($(#[$doc:meta])* $name:ident, $detector:ty, $finalize:expr) => {
-        $(#[$doc])*
-        #[derive(Debug, Clone, PartialEq)]
-        pub struct $name {
-            detector: $detector,
-            spec: StreamSpec,
-            ingest: WindowBuf,
-        }
-
-        impl $name {
-            /// Starts a stream for clean (gap-free) sample chunks.
-            ///
-            /// # Panics
-            ///
-            /// Panics if the detector's window is zero.
-            pub fn new(detector: $detector, spec: StreamSpec) -> $name {
-                let window = detector.window;
-                $name {
-                    detector,
-                    spec,
-                    ingest: WindowBuf::new(None, window),
-                }
-            }
-
-            /// Resolves gap-marked (or non-finite) samples with `fill`
-            /// before they reach the detector, matching the batch
-            /// `FaultyTrace::fill` semantics. Must be called before any
-            /// `feed`.
-            ///
-            /// # Panics
-            ///
-            /// Panics if samples were already fed.
-            pub fn with_fill(mut self, fill: StreamFill) -> $name {
-                assert!(self.ingest.len() == 0, "set the fill policy before feeding");
-                self.ingest = WindowBuf::new(Some(fill), self.detector.window);
-                self
-            }
-
-            /// Snapshots the stream's mutable ingestion state as a
-            /// [`WindowCheckpoint`](crate::WindowCheckpoint) — everything
-            /// beyond the (immutable) detector and [`StreamSpec`], in a
-            /// serialization-friendly shape. Copies the window history;
-            /// [`into_compact`](Self::into_compact) moves it.
-            pub fn compact_checkpoint(&self) -> crate::WindowCheckpoint {
-                self.ingest.clone().into_compact()
-            }
-
-            /// Consumes the stream into its compact checkpoint (what
-            /// [`compact_checkpoint`](Self::compact_checkpoint) returns)
-            /// without copying the closed-window history. The eviction
-            /// path of the resident fleet service (`crates/fleetd`).
-            pub fn into_compact(self) -> crate::WindowCheckpoint {
-                self.ingest.into_compact()
-            }
-
-            /// Rebuilds a stream from a compact checkpoint taken by
-            /// [`compact_checkpoint`](Self::compact_checkpoint) on a
-            /// stream with the same detector configuration. Feeding the
-            /// remaining samples yields byte-identical output to the
-            /// never-checkpointed stream. Copies the checkpoint;
-            /// [`from_compact_owned`](Self::from_compact_owned) moves it.
-            ///
-            /// # Panics
-            ///
-            /// Panics if the detector's window is zero or the
-            /// checkpoint's open window doesn't fit it.
-            pub fn from_compact(
-                detector: $detector,
-                spec: StreamSpec,
-                cp: &crate::WindowCheckpoint,
-            ) -> $name {
-                Self::from_compact_owned(detector, spec, cp.clone())
-            }
-
-            /// [`from_compact`](Self::from_compact) that moves the
-            /// checkpoint's vectors into the stream instead of copying
-            /// them. The rehydration path of the resident fleet service.
-            ///
-            /// # Panics
-            ///
-            /// As [`from_compact`](Self::from_compact).
-            pub fn from_compact_owned(
-                detector: $detector,
-                spec: StreamSpec,
-                cp: crate::WindowCheckpoint,
-            ) -> $name {
-                let window = detector.window;
-                $name {
-                    detector,
-                    spec,
-                    ingest: WindowBuf::from_compact(window, cp),
-                }
-            }
-        }
-
-        impl StreamState for $name {
-            type Item = Sample;
-            type Output = LabelSeries;
-
-            fn feed(&mut self, chunk: &[Sample]) -> FeedReport {
-                self.ingest.feed(chunk)
-            }
-
-            fn items(&self) -> usize {
-                self.ingest.len()
-            }
-
-            fn finalize(&self) -> LabelSeries {
-                obs::time("stream.finalize", || {
-                    let (windows, len) = self.ingest.windows_and_len();
-                    #[allow(clippy::redundant_closure_call)]
-                    ($finalize)(&self.detector, &self.spec, len, windows)
-                })
-            }
-
-            fn state_bytes(&self) -> usize {
-                std::mem::size_of::<Self>() + self.ingest.heap_bytes()
-            }
-        }
-    };
+/// A streaming windowed NIOM detector: byte-identical to the batch
+/// `detect` of `D` for any chunking of the same samples.
+#[derive(Debug, Clone, PartialEq)]
+pub struct NiomStream<D: WindowedDetector> {
+    detector: D,
+    spec: StreamSpec,
+    ingest: WindowBuf<D::Record>,
 }
 
-niom_stream!(
-    /// Streaming [`ThresholdDetector`]: byte-identical to batch
-    /// `detect` for any chunking of the same samples.
-    ThresholdStream,
-    ThresholdDetector,
-    |d: &ThresholdDetector, spec: &StreamSpec, len, windows: Vec<_>| {
-        d.detect_from_windows(spec.start, spec.resolution, len, &windows)
-    }
-);
+/// Streaming [`ThresholdDetector`]; keeps a 16-byte
+/// [`MeanVariance`](niom::MeanVariance) per closed window.
+pub type ThresholdStream = NiomStream<ThresholdDetector>;
 
-niom_stream!(
-    /// Streaming [`HmmDetector`]: window means accumulate incrementally;
-    /// EM + Viterbi (which need every window) run at finalize, exactly as
-    /// the batch path does after its own window pass.
-    HmmStream,
-    HmmDetector,
-    |d: &HmmDetector, spec: &StreamSpec, len, windows: Vec<(usize, timeseries::Summary)>| {
-        let means: Vec<(usize, f64)> = windows.iter().map(|&(i, s)| (i, s.mean)).collect();
-        d.detect_from_windows(spec.start, spec.resolution, len, &means)
-    }
-);
+/// Streaming [`HmmDetector`]: window means accumulate incrementally; EM +
+/// Viterbi (which need every window) run at finalize, exactly as the
+/// batch path does after its own window pass.
+pub type HmmStream = NiomStream<HmmDetector>;
 
-niom_stream!(
-    /// Streaming [`LogisticDetector`]: applies a pre-trained model over
-    /// incrementally accumulated window summaries.
-    LogisticStream,
-    LogisticDetector,
-    |d: &LogisticDetector, spec: &StreamSpec, len, windows: Vec<_>| {
-        d.detect_from_windows(spec.start, spec.resolution, len, &windows)
+/// Streaming [`LogisticDetector`]: applies a pre-trained model over
+/// incrementally accumulated window summaries.
+pub type LogisticStream = NiomStream<LogisticDetector>;
+
+impl<D: WindowedDetector> NiomStream<D> {
+    /// Starts a stream for clean (gap-free) sample chunks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the detector's window is zero.
+    pub fn new(detector: D, spec: StreamSpec) -> Self {
+        let window = detector.window();
+        NiomStream {
+            detector,
+            spec,
+            ingest: WindowBuf::new(None, window),
+        }
     }
-);
+
+    /// Resolves gap-marked (or non-finite) samples with `fill` before
+    /// they reach the detector, matching the batch `FaultyTrace::fill`
+    /// semantics. Must be called before any `feed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if samples were already fed.
+    pub fn with_fill(mut self, fill: StreamFill) -> Self {
+        assert!(self.ingest.len() == 0, "set the fill policy before feeding");
+        self.ingest = WindowBuf::new(Some(fill), self.detector.window());
+        self
+    }
+
+    /// Snapshots the stream's mutable ingestion state as a
+    /// [`WindowCheckpoint`] — everything beyond the (immutable) detector
+    /// and [`StreamSpec`], in a serialization-friendly shape. Copies the
+    /// window history; [`into_compact`](Self::into_compact) moves it.
+    pub fn compact_checkpoint(&self) -> WindowCheckpoint<D::Record> {
+        self.ingest.clone().into_compact()
+    }
+
+    /// Consumes the stream into its compact checkpoint (what
+    /// [`compact_checkpoint`](Self::compact_checkpoint) returns) without
+    /// copying the closed-window history. The eviction path of the
+    /// resident fleet service (`crates/fleetd`).
+    pub fn into_compact(self) -> WindowCheckpoint<D::Record> {
+        self.ingest.into_compact()
+    }
+
+    /// Rebuilds a stream from a compact checkpoint taken by
+    /// [`compact_checkpoint`](Self::compact_checkpoint) on a stream with
+    /// the same detector configuration. Feeding the remaining samples
+    /// yields byte-identical output to the never-checkpointed stream.
+    /// Copies the checkpoint;
+    /// [`from_compact_owned`](Self::from_compact_owned) moves it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the detector's window is zero or the checkpoint's open
+    /// window doesn't fit it.
+    pub fn from_compact(detector: D, spec: StreamSpec, cp: &WindowCheckpoint<D::Record>) -> Self {
+        Self::from_compact_owned(detector, spec, cp.clone())
+    }
+
+    /// [`from_compact`](Self::from_compact) that moves the checkpoint's
+    /// vectors into the stream instead of copying them. The rehydration
+    /// path of the resident fleet service.
+    ///
+    /// # Panics
+    ///
+    /// As [`from_compact`](Self::from_compact).
+    pub fn from_compact_owned(
+        detector: D,
+        spec: StreamSpec,
+        cp: WindowCheckpoint<D::Record>,
+    ) -> Self {
+        let window = detector.window();
+        NiomStream {
+            detector,
+            spec,
+            ingest: WindowBuf::from_compact(window, cp),
+        }
+    }
+}
+
+impl<D: WindowedDetector + Clone> StreamState for NiomStream<D> {
+    type Item = Sample;
+    type Output = LabelSeries;
+
+    fn feed(&mut self, chunk: &[Sample]) -> FeedReport {
+        self.ingest.feed(chunk)
+    }
+
+    fn items(&self) -> usize {
+        self.ingest.len()
+    }
+
+    fn finalize(&self) -> LabelSeries {
+        obs::time("stream.finalize", || {
+            let (windows, len) = self.ingest.windows_and_len();
+            self.detector
+                .detect_from_windows(self.spec.start, self.spec.resolution, len, &windows)
+        })
+    }
+
+    fn state_bytes(&self) -> usize {
+        std::mem::size_of::<Self>() + self.ingest.heap_bytes()
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::chunk::dense_samples;
     use crate::feed_chunked;
-    use niom::OccupancyDetector;
+    use niom::{MeanVariance, OccupancyDetector};
     use timeseries::{PowerTrace, Resolution, Timestamp};
 
     fn bursty_trace(len: usize) -> PowerTrace {
@@ -266,7 +249,9 @@ mod tests {
         let restored = ThresholdStream::from_compact_owned(detector, spec, cp.clone());
         assert_eq!(
             restored.state_bytes(),
-            std::mem::size_of::<ThresholdStream>() + window * 8 + cp.closed.len() * 40
+            std::mem::size_of::<ThresholdStream>()
+                + window * 8
+                + cp.closed.len() * std::mem::size_of::<MeanVariance>()
         );
     }
 
@@ -311,8 +296,10 @@ mod tests {
         assert!(empty >= std::mem::size_of::<ThresholdStream>());
         s.feed(&dense_samples(trace.samples()));
         let full = s.state_bytes();
-        // 100 closed windows at 40 bytes each must show up in the measure.
-        assert!(full >= empty + 100 * 40, "{empty} -> {full}");
+        // 100 closed windows, one record each, must show up in the
+        // measure.
+        let record = std::mem::size_of::<MeanVariance>();
+        assert!(full >= empty + 100 * record, "{empty} -> {full}");
         // And the measure is sublinear in the trace: far below raw f64s.
         assert!(full < empty + 1_500 * 8, "{empty} -> {full}");
     }
