@@ -38,7 +38,9 @@
 //! each resident home's struct plus owned heap; cold homes cost exactly
 //! their encoded [`codec`] checkpoint length. [`FleetService::memory`]
 //! reports both, and `fleet_scale` pins `bytes/home` as a conformance
-//! claim (`fleet.resident-bytes-per-home`).
+//! claim (`fleet.resident-bytes-per-home`). Per-home bookkeeping is not
+//! counted: a 16-byte slot per home, plus a 24-byte entry per home in
+//! the in-memory store.
 //!
 //! # Durability and crash recovery
 //!

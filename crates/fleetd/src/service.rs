@@ -1,40 +1,34 @@
 //! The sharded resident fleet service.
 //!
 //! A [`FleetService`] owns a fixed number of shards; each home belongs
-//! to shard `home % shards` forever. A shard holds its homes in one of
-//! two tiers: **resident** (a live [`ThresholdStream`] whose size is
-//! measured by [`StreamState::state_bytes`]) or **cold** (a CRC-framed,
-//! generation-stamped [`codec`](crate::codec) checkpoint held in the
-//! shard's pluggable [`CheckpointStore`]). Admission rounds take each
-//! home in one pass — restore it if cold, feed it its chunk, then keep
-//! it resident or evict it on the spot — so memory is O(resident cap)
-//! live streams plus O(homes) compact checkpoints, not O(homes) live
-//! streams, during a round as well as between rounds.
+//! to shard `home % shards` forever and lives in slot `home / shards`
+//! of that shard's one vector of 16-byte `Slot`s. A slot says where its
+//! home is — **resident** (a live [`ThresholdStream`], measured by
+//! [`StreamState::state_bytes`]), **cold** (a CRC-framed,
+//! generation-stamped [`codec`](crate::codec) checkpoint in the shard's
+//! pluggable [`CheckpointStore`]), awaiting a rebuild, or quarantined —
+//! and one method, `Shard::set`, moves a home between them. Admission
+//! takes each home in one pass (restore it if cold, feed it, then keep
+//! it resident or evict it on the spot), so memory is O(resident cap)
+//! live streams plus O(homes) compact checkpoints, during a round as
+//! well as between rounds.
 //!
-//! # Durability and recovery
-//!
-//! With [`StoreConfig::Durable`], every round additionally write-syncs
-//! each resident home's frame and commits a fleet [`Manifest`], so a
-//! crashed service can be [`recover`](FleetService::recover)ed from
-//! disk and continue byte-identically to an uninterrupted run. Store
-//! defects surface as typed [`StoreError`]s: transient write failures
-//! are retried immediately, a bounded number of times
-//! (`fleetd.store.retries`), and
-//! unrecoverable records are either replayed from re-admitted readings
-//! ([`RecoveryPolicy::Rebuild`], `fleetd.store.rebuilds`) or excluded
-//! with their error preserved ([`RecoveryPolicy::Quarantine`],
-//! `fleetd.store.quarantined`) — the storage-side mirror of the
-//! supervisor's panic quarantine. `docs/FLEET.md` documents the full
-//! lifecycle.
+//! With [`StoreConfig::Durable`], every round also write-syncs each
+//! resident home's frame and commits a fleet [`Manifest`], from which a
+//! crashed service is [`recover`](FleetService::recover)ed to continue
+//! byte-identically. Transient store failures are retried
+//! (`fleetd.store.retries`); unrecoverable records are replayed from
+//! re-admitted readings ([`RecoveryPolicy::Rebuild`]) or excluded with
+//! their typed [`StoreError`] ([`RecoveryPolicy::Quarantine`]).
+//! `docs/FLEET.md` documents the full lifecycle.
 
 use crate::store::{
     self, shard_dir, CheckpointStore, DurableStore, FaultyStore, Manifest, MemoryStore, StoreError,
 };
 use faults::{FaultPlan, StoreFaultInjector};
-use niom::ThresholdDetector;
-use std::collections::{BTreeMap, BTreeSet};
+use niom::{MeanVariance, ThresholdDetector};
 use std::path::PathBuf;
-use stream::{Sample, StreamFill, StreamSpec, StreamState, ThresholdStream};
+use stream::{Sample, StreamFill, StreamSpec, StreamState, ThresholdStream, WindowCheckpoint};
 use timeseries::rng::{derive_seed, home_seed};
 use timeseries::{LabelSeries, Resolution, Timestamp};
 
@@ -135,11 +129,34 @@ impl FleetdConfig {
         }
     }
 
+    /// A home's stream before its first reading.
+    fn fresh_stream(&self) -> ThresholdStream {
+        ThresholdStream::new(self.detector.clone(), self.spec).with_fill(self.fill)
+    }
+
+    /// The manifest of a fleet of `homes` run under this config.
+    fn manifest(&self, homes: usize, rounds: u64, shard_samples: Vec<u64>) -> Manifest {
+        Manifest {
+            homes: homes as u64,
+            shards: self.shards as u64,
+            rounds,
+            root_seed: self.root_seed,
+            window: self.detector.window as u64,
+            fill: match self.fill {
+                StreamFill::Zero => 0,
+                StreamFill::Hold => 1,
+            },
+            start: self.spec.start.0,
+            resolution: self.spec.resolution.as_secs() as u64,
+            shard_samples,
+        }
+    }
+
     /// Builds shard `idx`'s store stack: the configured backend, fault-
     /// wrapped when the plan injects store faults.
     fn make_store(&self, idx: usize) -> std::io::Result<Box<dyn CheckpointStore>> {
         let base: Box<dyn CheckpointStore> = match &self.store {
-            StoreConfig::Memory => Box::new(MemoryStore::new()),
+            StoreConfig::Memory => Box::new(MemoryStore::for_shard(idx, self.shards)),
             StoreConfig::Durable { root } => Box::new(DurableStore::open(shard_dir(root, idx))?),
         };
         if self.store_faults.store_faults.is_empty() {
@@ -239,7 +256,8 @@ pub enum RecoverError {
     /// The manifest disagrees with the config on a field that is part
     /// of the fleet's deterministic identity.
     ConfigMismatch {
-        /// Disagreeing field (`"shards"`, `"root_seed"`).
+        /// Disagreeing field: `"shards"`, `"root_seed"`, `"window"`,
+        /// `"fill"`, `"start"` or `"resolution"`.
         field: &'static str,
         /// Value recorded in the manifest.
         manifest: u64,
@@ -268,16 +286,34 @@ impl std::fmt::Display for RecoverError {
 
 impl std::error::Error for RecoverError {}
 
-/// One shard: the resident tier, the pluggable cold store, the
-/// quarantine ledger, and lifecycle counters. A home is in exactly one
-/// of: resident, cold (a store frame), scheduled-for-rebuild, or
-/// quarantined.
+/// Where one home of a shard is. The payloads are boxed so that a slot
+/// is 16 B (`slot_is_16_bytes`).
+#[derive(Debug)]
+enum Slot {
+    /// A live stream.
+    Resident(Box<ThresholdStream>),
+    /// The home's frame is in the store, or, before its first admission,
+    /// it has no state at all.
+    Cold,
+    /// The home's record was lost: its readings are replayed on its next
+    /// admission or scrub.
+    Rebuild,
+    /// Excluded from admission and digests, with the error that
+    /// excluded it.
+    Quarantined(Box<StoreError>),
+}
+
+/// One shard: a [`Slot`] per home, the pluggable cold store, and
+/// lifecycle counters. Shard `first` of `stride` holds homes
+/// `first, first + stride, …`; home `first + local * stride` is in
+/// `slots[local]`, and only [`set`](Shard::set) changes a slot.
 #[derive(Debug)]
 struct Shard {
-    resident: BTreeMap<usize, ThresholdStream>,
+    first: usize,
+    stride: usize,
+    slots: Vec<Slot>,
     cold: Box<dyn CheckpointStore>,
-    rebuild: BTreeSet<usize>,
-    quarantined: BTreeMap<usize, StoreError>,
+    quarantined: usize,
     samples: u64,
     evictions: u64,
     rehydrations: u64,
@@ -286,140 +322,155 @@ struct Shard {
 }
 
 impl Shard {
-    fn new(cold: Box<dyn CheckpointStore>) -> Shard {
-        Shard {
-            resident: BTreeMap::new(),
-            cold,
-            rebuild: BTreeSet::new(),
-            quarantined: BTreeMap::new(),
+    /// Shard `index` of a fleet of `homes` homes, every home cold.
+    fn new(index: usize, homes: usize, cfg: &FleetdConfig) -> std::io::Result<Shard> {
+        let len = homes.saturating_sub(index).div_ceil(cfg.shards);
+        Ok(Shard {
+            first: index,
+            stride: cfg.shards,
+            slots: (0..len).map(|_| Slot::Cold).collect(),
+            cold: cfg.make_store(index)?,
+            quarantined: 0,
             samples: 0,
             evictions: 0,
             rehydrations: 0,
             rebuilds: 0,
             retries: 0,
-        }
+        })
+    }
+
+    fn home(&self, local: usize) -> usize {
+        self.first + local * self.stride
+    }
+
+    /// Moves home `local` to `slot` and returns where it was: the one
+    /// place a home changes state.
+    fn set(&mut self, local: usize, slot: Slot) -> Slot {
+        let quarantined = matches!(slot, Slot::Quarantined(_));
+        let old = std::mem::replace(&mut self.slots[local], slot);
+        self.quarantined =
+            self.quarantined + quarantined as usize - matches!(old, Slot::Quarantined(_)) as usize;
+        old
     }
 
     /// Re-derives `home`'s stream by replaying every completed round
     /// (`0..rounds`) through the admission generator — the degraded-
     /// mode rebuild. Byte-identical to the lost state because chunk
     /// generation is a pure function of `(root_seed, home, round)`.
-    fn replay<F>(home: usize, rounds: u64, cfg: &FleetdConfig, gen: &F) -> ThresholdStream
+    fn rebuild<F>(
+        &mut self,
+        home: usize,
+        rounds: u64,
+        cfg: &FleetdConfig,
+        gen: &F,
+    ) -> Box<ThresholdStream>
     where
         F: Fn(u64, u64, &mut Vec<Sample>),
     {
-        let mut stream = ThresholdStream::new(cfg.detector.clone(), cfg.spec).with_fill(cfg.fill);
+        self.rebuilds += 1;
+        obs::counter_add("fleetd.store.rebuilds", 1);
+        let mut stream = cfg.fresh_stream();
         let seed = home_seed(cfg.root_seed, home);
         let mut chunk = Vec::new();
         for round in 0..rounds {
             gen(seed, round, &mut chunk);
             stream.feed(&chunk);
         }
-        stream
+        Box::new(stream)
     }
 
-    fn quarantine(&mut self, home: usize, err: StoreError) {
+    fn quarantine(&mut self, local: usize, err: StoreError) {
         obs::counter_add("fleetd.store.quarantined", 1);
-        self.cold.remove(home);
-        self.resident.remove(&home);
-        self.rebuild.remove(&home);
-        self.quarantined.insert(home, err);
+        self.cold.remove(self.home(local));
+        self.set(local, Slot::Quarantined(Box::new(err)));
     }
 
-    /// Writes `frame`, retrying a transient error immediately up to
-    /// [`MAX_STORE_RETRIES`] times.
-    fn put_with_retry(
-        cold: &mut Box<dyn CheckpointStore>,
-        retries: &mut u64,
-        home: usize,
-        generation: u64,
-        frame: &[u8],
-    ) -> Result<(), StoreError> {
+    /// Frames `cp` at `write_gen` and puts it in the store, retrying a
+    /// transient error immediately up to [`MAX_STORE_RETRIES`] times. A
+    /// home whose frame cannot be written even after retries is
+    /// quarantined with the write error. Returns whether the write
+    /// landed.
+    fn write(&mut self, local: usize, write_gen: u64, cp: &WindowCheckpoint<MeanVariance>) -> bool {
+        let home = self.home(local);
+        let mut frame = store::frame_checkpoint(home as u64, write_gen, cp);
         let mut attempt = 0;
-        loop {
-            match cold.put(home, generation, frame) {
-                Ok(()) => return Ok(()),
+        let err = loop {
+            match self.cold.put_owned(home, write_gen, &mut frame) {
+                Ok(()) => return true,
                 Err(e) if e.is_transient() && attempt < MAX_STORE_RETRIES => {
                     attempt += 1;
-                    *retries += 1;
+                    self.retries += 1;
                     obs::counter_add("fleetd.store.retries", 1);
                 }
-                Err(e) => return Err(e),
+                Err(e) => break e,
             }
-        }
+        };
+        self.quarantine(local, err);
+        false
     }
 
-    /// Takes `home`'s live stream for the admission of `round`: out of
-    /// the resident tier, restored from its frame (the decoded vectors
-    /// move into the stream), rebuilt, or started fresh. `None` iff the
-    /// home ended up quarantined.
+    /// Takes home `local`'s live stream for the admission of `round`:
+    /// out of its slot, restored from its frame (the decoded vectors
+    /// move into the stream), rebuilt, or started fresh. The slot is
+    /// left cold. `None` iff the home is, or ended up, quarantined.
     fn take_stream<F>(
         &mut self,
-        home: usize,
+        local: usize,
         round: u64,
         cfg: &FleetdConfig,
         gen: &F,
-    ) -> Option<ThresholdStream>
+    ) -> Option<Box<ThresholdStream>>
     where
         F: Fn(u64, u64, &mut Vec<Sample>),
     {
-        if let Some(stream) = self.resident.remove(&home) {
-            return Some(stream);
+        if let Slot::Quarantined(_) = self.slots[local] {
+            return None;
         }
-        if self.rebuild.remove(&home) {
-            self.rebuilds += 1;
-            obs::counter_add("fleetd.store.rebuilds", 1);
-            return Some(Self::replay(home, round, cfg, gen));
+        let home = self.home(local);
+        match self.set(local, Slot::Cold) {
+            Slot::Resident(stream) => return Some(stream),
+            Slot::Rebuild => return Some(self.rebuild(home, round, cfg, gen)),
+            Slot::Cold | Slot::Quarantined(_) => {}
         }
         // Every branch below drops the stored record, so read it with
-        // `take`; the explicit removes on the error branches cover a
-        // failed `take`.
-        let verdict = match self.cold.take(home) {
+        // `take`; the explicit remove on the error branch covers a failed
+        // `take`.
+        let err = match self.cold.take(home) {
             Ok(Some(bytes)) => {
-                store::validate_frame(&bytes, home, round, cfg.detector.window).map(Some)
+                match store::validate_frame(&bytes, home, round, cfg.detector.window) {
+                    Ok(cp) => {
+                        self.rehydrations += 1;
+                        let (detector, spec) = (cfg.detector.clone(), cfg.spec);
+                        let stream = ThresholdStream::from_compact_owned(detector, spec, cp);
+                        return Some(Box::new(stream));
+                    }
+                    Err(err) => err,
+                }
             }
             // Rounds are sequential from 0 and every home is fed every
             // round, so a missing frame after round 0 is a lost record.
-            Ok(None) if round == 0 => Ok(None),
-            Ok(None) => Err(StoreError::Missing { home }),
-            Err(e) => Err(e),
+            Ok(None) if round == 0 => return Some(Box::new(cfg.fresh_stream())),
+            Ok(None) => StoreError::Missing { home },
+            Err(err) => err,
         };
-        match verdict {
-            Ok(Some(cp)) => {
-                self.rehydrations += 1;
-                Some(ThresholdStream::from_compact_owned(
-                    cfg.detector.clone(),
-                    cfg.spec,
-                    cp,
-                ))
+        match cfg.recovery {
+            RecoveryPolicy::Rebuild => {
+                self.cold.remove(home);
+                Some(self.rebuild(home, round, cfg, gen))
             }
-            Ok(None) => {
-                Some(ThresholdStream::new(cfg.detector.clone(), cfg.spec).with_fill(cfg.fill))
+            RecoveryPolicy::Quarantine => {
+                self.quarantine(local, err);
+                None
             }
-            Err(err) => match cfg.recovery {
-                RecoveryPolicy::Rebuild => {
-                    self.rebuilds += 1;
-                    obs::counter_add("fleetd.store.rebuilds", 1);
-                    self.cold.remove(home);
-                    Some(Self::replay(home, round, cfg, gen))
-                }
-                RecoveryPolicy::Quarantine => {
-                    self.quarantine(home, err);
-                    None
-                }
-            },
         }
     }
 
-    /// Evicts `home`: consumes its stream into a frame at `write_gen`
-    /// and puts it in the store. A home whose frame cannot be written
-    /// even after retries has lost its durable copy *and* its live
-    /// stream — it is quarantined with the write error.
-    fn evict(&mut self, home: usize, stream: ThresholdStream, write_gen: u64) {
-        let frame = store::frame_checkpoint(home as u64, write_gen, &stream.into_compact());
-        match Self::put_with_retry(&mut self.cold, &mut self.retries, home, write_gen, &frame) {
-            Ok(()) => self.evictions += 1,
-            Err(err) => self.quarantine(home, err),
+    /// Evicts home `local`, whose slot is cold: consumes its stream into
+    /// a frame at `write_gen` and puts it in the store. A home whose
+    /// write fails has lost its durable copy *and* its live stream.
+    fn evict(&mut self, local: usize, stream: ThresholdStream, write_gen: u64) {
+        if self.write(local, write_gen, &stream.into_compact()) {
+            self.evictions += 1;
         }
     }
 
@@ -428,17 +479,10 @@ impl Shard {
     /// every non-quarantined home, which is what makes the round
     /// recoverable.
     fn sync_resident(&mut self, write_gen: u64) {
-        let homes: Vec<usize> = self.resident.keys().copied().collect();
-        for home in homes {
-            let frame = store::frame_checkpoint(
-                home as u64,
-                write_gen,
-                &self.resident[&home].compact_checkpoint(),
-            );
-            if let Err(err) =
-                Self::put_with_retry(&mut self.cold, &mut self.retries, home, write_gen, &frame)
-            {
-                self.quarantine(home, err);
+        for local in 0..self.slots.len() {
+            if let Slot::Resident(stream) = &self.slots[local] {
+                let cp = stream.compact_checkpoint();
+                self.write(local, write_gen, &cp);
             }
         }
     }
@@ -450,7 +494,7 @@ impl Shard {
     /// downwards leaves the highest-index homes that end the round live
     /// resident, however many were quarantined on the way. In durable
     /// mode the kept homes are then write-synced.
-    fn admit_round<F>(&mut self, shard_homes: &[usize], round: u64, cfg: &FleetdConfig, gen: &F)
+    fn admit_round<F>(&mut self, round: u64, cfg: &FleetdConfig, gen: &F)
     where
         F: Fn(u64, u64, &mut Vec<Sample>),
     {
@@ -458,20 +502,18 @@ impl Shard {
         let cap = cfg.shard_cap().unwrap_or(usize::MAX);
         let mut kept = 0;
         let mut chunk = Vec::new();
-        for &home in shard_homes.iter().rev() {
-            if self.quarantined.contains_key(&home) {
-                continue;
-            }
-            let Some(mut stream) = self.take_stream(home, round, cfg, gen) else {
+        for local in (0..self.slots.len()).rev() {
+            let Some(mut stream) = self.take_stream(local, round, cfg, gen) else {
                 continue;
             };
-            gen(home_seed(cfg.root_seed, home), round, &mut chunk);
+            let seed = home_seed(cfg.root_seed, self.home(local));
+            gen(seed, round, &mut chunk);
             self.samples += stream.feed(&chunk).items as u64;
             if kept < cap {
                 kept += 1;
-                self.resident.insert(home, stream);
+                self.set(local, Slot::Resident(stream));
             } else {
-                self.evict(home, stream, write_gen);
+                self.evict(local, *stream, write_gen);
             }
         }
         if cfg.durable_root().is_some() {
@@ -479,107 +521,97 @@ impl Shard {
         }
     }
 
-    /// Validates every cold, non-quarantined home's frame at
-    /// `expected_gen`, applying the recovery policy to anything
-    /// unrecoverable (including homes scheduled for rebuild). Returns
+    /// Checks the frame of every cold home, and of every home awaiting a
+    /// rebuild, at `expected_gen`. A home whose record is unrecoverable
+    /// is marked for rebuild or quarantined, per the policy. Returns
+    /// `(frames that validated, homes that failed)`.
+    fn validate(&mut self, expected_gen: u64, cfg: &FleetdConfig) -> (usize, usize) {
+        let (mut valid, mut failed) = (0, 0);
+        for local in 0..self.slots.len() {
+            let absent_ok = match self.slots[local] {
+                Slot::Resident(_) | Slot::Quarantined(_) => continue,
+                Slot::Cold => expected_gen == 0,
+                Slot::Rebuild => false,
+            };
+            let home = self.home(local);
+            let verdict = match self.load(home, expected_gen, cfg) {
+                Ok(None) if !absent_ok => Err(StoreError::Missing { home }),
+                verdict => verdict,
+            };
+            match (verdict, cfg.recovery) {
+                (Ok(cp), _) => {
+                    valid += cp.is_some() as usize;
+                    self.set(local, Slot::Cold);
+                    continue;
+                }
+                (Err(_), RecoveryPolicy::Rebuild) => {
+                    self.cold.remove(home);
+                    self.set(local, Slot::Rebuild);
+                }
+                (Err(err), RecoveryPolicy::Quarantine) => self.quarantine(local, err),
+            }
+            failed += 1;
+        }
+        (valid, failed)
+    }
+
+    /// [`validate`](Self::validate)s the shard at `expected_gen`, then
+    /// rebuilds every home awaiting a rebuild into resident state rather
+    /// than re-writing its frame: store-fault decisions are
+    /// deterministic per (home, generation), so a re-put at the same
+    /// generation would be corrupted identically. Degraded mode holds
+    /// the home in memory — possibly above the residency cap — until the
+    /// next round evicts it at a fresh generation. Returns
     /// `(rebuilt, newly_quarantined)`.
-    fn scrub<F>(
-        &mut self,
-        shard_homes: &[usize],
-        expected_gen: u64,
-        cfg: &FleetdConfig,
-        gen: &F,
-    ) -> (usize, usize)
+    fn scrub<F>(&mut self, expected_gen: u64, cfg: &FleetdConfig, gen: &F) -> (usize, usize)
     where
         F: Fn(u64, u64, &mut Vec<Sample>),
     {
-        let (mut rebuilt, mut newly_quarantined) = (0, 0);
-        for &home in shard_homes {
-            if self.resident.contains_key(&home) || self.quarantined.contains_key(&home) {
-                continue;
-            }
-            let verdict = match self.cold.get(home) {
-                Ok(Some(bytes)) => {
-                    store::validate_frame(&bytes, home, expected_gen, cfg.detector.window)
-                        .map(|_| ())
-                }
-                Ok(None) if expected_gen == 0 && !self.rebuild.contains(&home) => Ok(()),
-                Ok(None) => Err(StoreError::Missing { home }),
-                Err(e) => Err(e),
-            };
-            let Err(err) = verdict else {
-                self.rebuild.remove(&home);
-                continue;
-            };
-            match cfg.recovery {
-                RecoveryPolicy::Rebuild => {
-                    // Rebuild into resident state rather than re-writing
-                    // the frame: store-fault decisions are deterministic
-                    // per (home, generation), so a re-put at the same
-                    // generation would be corrupted identically. Degraded
-                    // mode holds the home in memory — possibly above the
-                    // residency cap — until the next round evicts it at a
-                    // fresh generation.
-                    let stream = Self::replay(home, expected_gen, cfg, gen);
-                    self.cold.remove(home);
-                    self.resident.insert(home, stream);
-                    self.rebuild.remove(&home);
-                    self.rebuilds += 1;
-                    obs::counter_add("fleetd.store.rebuilds", 1);
-                    rebuilt += 1;
-                }
-                RecoveryPolicy::Quarantine => {
-                    self.quarantine(home, err);
-                    newly_quarantined += 1;
-                }
+        let (_, failed) = self.validate(expected_gen, cfg);
+        let mut rebuilt = 0;
+        for local in 0..self.slots.len() {
+            if let Slot::Rebuild = self.slots[local] {
+                let stream = self.rebuild(self.home(local), expected_gen, cfg, gen);
+                self.set(local, Slot::Resident(stream));
+                rebuilt += 1;
             }
         }
-        (rebuilt, newly_quarantined)
+        // Under `Rebuild` every home that failed was just rebuilt, under
+        // `Quarantine` every one was quarantined.
+        (rebuilt, failed - rebuilt)
     }
 
-    /// `(index, finalized series)` for every non-quarantined home of
-    /// the shard, resident or cold, in index order. Cold homes are
-    /// decoded into a transient stream; the shard is not mutated.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a cold frame fails validation at `expected_gen` —
-    /// run [`FleetService::scrub`] (or recover) first when store faults
-    /// may have corrupted frames since the last admission.
-    fn finalize_homes(&self, expected_gen: u64, cfg: &FleetdConfig) -> Vec<(usize, LabelSeries)> {
-        let mut out: Vec<(usize, LabelSeries)> = self
-            .resident
-            .iter()
-            .map(|(&home, s)| (home, s.finalize()))
-            .chain(
-                self.cold
-                    .contents()
-                    .into_iter()
-                    .filter(|(home, _)| {
-                        !self.resident.contains_key(home) && !self.quarantined.contains_key(home)
-                    })
-                    .map(|(home, _)| {
-                        let bytes = self
-                            .cold
-                            .get(home)
-                            .expect("listed frame must be readable")
-                            .expect("listed frame must exist");
-                        let window = cfg.detector.window;
-                        let cp = match store::validate_frame(&bytes, home, expected_gen, window) {
-                            Ok(cp) => cp,
-                            Err(e) => panic!(
-                                "cold frame for home {home} unrecoverable ({e}); \
-                                 scrub or recover the fleet before finalizing"
-                            ),
-                        };
-                        let s =
-                            ThresholdStream::from_compact_owned(cfg.detector.clone(), cfg.spec, cp);
-                        (home, s.finalize())
-                    }),
-            )
-            .collect();
-        out.sort_unstable_by_key(|&(home, _)| home);
-        out
+    /// Home `local`'s finalized series, without mutating the shard:
+    /// `None` if it is quarantined, awaiting a rebuild, or was never
+    /// admitted. A cold home is decoded into a transient stream; an
+    /// unreadable or invalid frame is the error.
+    fn finalize(
+        &self,
+        local: usize,
+        expected_gen: u64,
+        cfg: &FleetdConfig,
+    ) -> Result<Option<LabelSeries>, StoreError> {
+        match &self.slots[local] {
+            Slot::Resident(stream) => Ok(Some(stream.finalize())),
+            Slot::Rebuild | Slot::Quarantined(_) => Ok(None),
+            Slot::Cold => Ok(self.load(self.home(local), expected_gen, cfg)?.map(|cp| {
+                ThresholdStream::from_compact_owned(cfg.detector.clone(), cfg.spec, cp).finalize()
+            })),
+        }
+    }
+
+    /// `home`'s stored checkpoint, validated at `expected_gen`, or `None`
+    /// if it has no frame.
+    fn load(
+        &self,
+        home: usize,
+        expected_gen: u64,
+        cfg: &FleetdConfig,
+    ) -> Result<Option<WindowCheckpoint<MeanVariance>>, StoreError> {
+        let Some(bytes) = self.cold.get(home)? else {
+            return Ok(None);
+        };
+        store::validate_frame(&bytes, home, expected_gen, cfg.detector.window).map(Some)
     }
 }
 
@@ -634,7 +666,7 @@ impl FleetService {
             }
         }
         let shards = (0..cfg.shards)
-            .map(|i| Shard::new(cfg.make_store(i).expect("fleet store must be writable")))
+            .map(|i| Shard::new(i, homes, &cfg).expect("fleet store must be writable"))
             .collect();
         let svc = FleetService {
             cfg,
@@ -660,16 +692,22 @@ impl FleetService {
     ///
     /// [`RecoverError`] if the config is not durable, the manifest is
     /// missing or invalid, a shard store cannot be opened, or the
-    /// manifest disagrees with the config's `shards`/`root_seed`.
+    /// manifest disagrees with the config on a field it records (see
+    /// [`Manifest`]).
     pub fn recover(cfg: FleetdConfig) -> Result<(FleetService, RecoveryReport), RecoverError> {
         let _span = obs::span("fleetd.recover");
         let root = cfg.durable_root().ok_or(RecoverError::NotDurable)?.clone();
         let manifest = Manifest::read(&root)
             .map_err(RecoverError::Manifest)?
             .ok_or_else(|| RecoverError::Manifest("no manifest file".into()))?;
+        let config = cfg.manifest(0, 0, Vec::new());
         for (field, found, want) in [
-            ("shards", manifest.shards, cfg.shards as u64),
-            ("root_seed", manifest.root_seed, cfg.root_seed),
+            ("shards", manifest.shards, config.shards),
+            ("root_seed", manifest.root_seed, config.root_seed),
+            ("window", manifest.window, config.window),
+            ("fill", manifest.fill, config.fill),
+            ("start", manifest.start, config.start),
+            ("resolution", manifest.resolution, config.resolution),
         ] {
             if found != want {
                 return Err(RecoverError::ConfigMismatch {
@@ -688,64 +726,42 @@ impl FleetService {
         }
         let homes = manifest.homes as usize;
         let rounds = manifest.rounds;
-        let mut shards = Vec::with_capacity(cfg.shards);
-        for i in 0..cfg.shards {
-            let mut shard = Shard::new(
-                cfg.make_store(i)
-                    .map_err(|e| RecoverError::Io(e.to_string()))?,
-            );
-            shard.samples = manifest.shard_samples[i];
-            shards.push(shard);
+        let mut shards = (0..cfg.shards)
+            .map(|i| Shard::new(i, homes, &cfg))
+            .collect::<std::io::Result<Vec<_>>>()
+            .map_err(|e| RecoverError::Io(e.to_string()))?;
+        for (shard, &samples) in shards.iter_mut().zip(&manifest.shard_samples) {
+            shard.samples = samples;
         }
         // Validate every home's frame at the committed generation, in
         // parallel by shard; the verdicts are pure functions of the
         // stored bytes, so the report is thread-count independent.
-        let cfg_ref = &cfg;
-        let shards = rayon::parallel_map(
-            shards.into_iter().enumerate().collect(),
-            |(i, mut shard)| {
-                let shard_homes: Vec<usize> = (i..homes).step_by(cfg_ref.shards).collect();
-                for home in shard_homes {
-                    let verdict = match shard.cold.get(home) {
-                        Ok(Some(bytes)) => {
-                            store::validate_frame(&bytes, home, rounds, cfg_ref.detector.window)
-                                .map(|_| ())
-                        }
-                        Ok(None) if rounds == 0 => Ok(()),
-                        Ok(None) => Err(StoreError::Missing { home }),
-                        Err(e) => Err(e),
-                    };
-                    let Err(err) = verdict else { continue };
-                    match cfg_ref.recovery {
-                        RecoveryPolicy::Rebuild => {
-                            shard.cold.remove(home);
-                            shard.rebuild.insert(home);
-                        }
-                        RecoveryPolicy::Quarantine => shard.quarantine(home, err),
-                    }
-                }
-                shard
-            },
-        );
+        let checked = rayon::parallel_map(shards, |mut shard| {
+            let counts = shard.validate(rounds, &cfg);
+            (shard, counts)
+        });
         let mut report = RecoveryReport::default();
-        for shard in &shards {
-            report.scheduled_rebuilds += shard.rebuild.len();
-            report
-                .quarantined
-                .extend(shard.quarantined.iter().map(|(&h, e)| (h, e.clone())));
-            report.recovered += shard.cold.contents().len();
+        let mut failed = 0;
+        let shards = checked
+            .into_iter()
+            .map(|(shard, (valid, bad))| {
+                report.recovered += valid;
+                failed += bad;
+                shard
+            })
+            .collect();
+        if cfg.recovery == RecoveryPolicy::Rebuild {
+            report.scheduled_rebuilds = failed;
         }
-        report.quarantined.sort_unstable_by_key(|&(home, _)| home);
+        let svc = FleetService {
+            cfg,
+            homes,
+            shards,
+            rounds,
+        };
+        report.quarantined = svc.quarantined();
         obs::gauge_set("fleetd.recovered_homes", report.recovered as f64);
-        Ok((
-            FleetService {
-                cfg,
-                homes,
-                shards,
-                rounds,
-            },
-            report,
-        ))
+        Ok((svc, report))
     }
 
     /// The service's configuration.
@@ -783,15 +799,11 @@ impl FleetService {
         F: Fn(u64, u64, &mut Vec<Sample>) + Sync,
     {
         let _span = obs::span("fleetd.admit");
-        let cfg = self.cfg.clone();
-        let homes = self.homes;
-        let taken = std::mem::take(&mut self.shards);
-        self.shards =
-            rayon::parallel_map(taken.into_iter().enumerate().collect(), |(i, mut shard)| {
-                let shard_homes: Vec<usize> = (i..homes).step_by(cfg.shards).collect();
-                shard.admit_round(&shard_homes, round, &cfg, gen);
-                shard
-            });
+        let cfg = &self.cfg;
+        self.shards = rayon::parallel_map(std::mem::take(&mut self.shards), |mut shard| {
+            shard.admit_round(round, cfg, gen);
+            shard
+        });
         self.finish_round();
     }
 
@@ -807,26 +819,17 @@ impl FleetService {
         F: Fn(u64, u64, &mut Vec<Sample>) + Sync,
     {
         let _span = obs::span("fleetd.scrub");
-        let cfg = self.cfg.clone();
-        let homes = self.homes;
-        let rounds = self.rounds;
-        let taken = std::mem::take(&mut self.shards);
-        let mut rebuilt = 0;
-        let mut quarantined = 0;
-        let results =
-            rayon::parallel_map(taken.into_iter().enumerate().collect(), |(i, mut shard)| {
-                let shard_homes: Vec<usize> = (i..homes).step_by(cfg.shards).collect();
-                let counts = shard.scrub(&shard_homes, rounds, &cfg, gen);
-                (shard, counts)
-            });
-        self.shards = results
-            .into_iter()
-            .map(|(shard, (r, q))| {
-                rebuilt += r;
-                quarantined += q;
-                shard
-            })
-            .collect();
+        let (cfg, rounds) = (&self.cfg, self.rounds);
+        let results = rayon::parallel_map(std::mem::take(&mut self.shards), |mut shard| {
+            let counts = shard.scrub(rounds, cfg, gen);
+            (shard, counts)
+        });
+        let (mut rebuilt, mut quarantined) = (0, 0);
+        for (shard, (r, q)) in results {
+            rebuilt += r;
+            quarantined += q;
+            self.shards.push(shard);
+        }
         (rebuilt, quarantined)
     }
 
@@ -844,37 +847,24 @@ impl FleetService {
         let Some(root) = self.cfg.durable_root() else {
             return;
         };
-        Manifest {
-            homes: self.homes as u64,
-            shards: self.cfg.shards as u64,
-            rounds: self.rounds,
-            root_seed: self.cfg.root_seed,
-            shard_samples: self.shards.iter().map(|s| s.samples).collect(),
-        }
-        .write(root)
-        .expect("fleet manifest must be writable");
+        let samples = self.shards.iter().map(|s| s.samples).collect();
+        self.cfg
+            .manifest(self.homes, self.rounds, samples)
+            .write(root)
+            .expect("fleet manifest must be writable");
     }
 
     fn finish_round(&mut self) {
         self.rounds += 1;
         self.commit_manifest();
         obs::counter_add("fleetd.rounds", 1);
-        obs::gauge_set(
-            "fleetd.samples",
-            self.shards.iter().map(|s| s.samples).sum::<u64>() as f64,
-        );
-        obs::gauge_set(
-            "fleetd.evictions",
-            self.shards.iter().map(|s| s.evictions).sum::<u64>() as f64,
-        );
-        obs::gauge_set(
-            "fleetd.rehydrations",
-            self.shards.iter().map(|s| s.rehydrations).sum::<u64>() as f64,
-        );
+        obs::gauge_set("fleetd.samples", self.samples() as f64);
+        obs::gauge_set("fleetd.evictions", self.evictions() as f64);
+        obs::gauge_set("fleetd.rehydrations", self.rehydrations() as f64);
         obs::gauge_set("fleetd.quarantined_homes", self.quarantined_count() as f64);
-        // Walking both tiers costs 10-13 ms a round at 3x10^5 homes and
-        // feeds nothing but these gauges, which record nothing while the
-        // registry is off.
+        // Walking every slot costs ~3.4 ms a round at 3x10^5 homes (one
+        // core of a 2-vCPU Xeon) and feeds nothing but these gauges,
+        // which record nothing while the registry is off.
         if obs::is_enabled() {
             let mem = self.memory();
             obs::gauge_set("fleetd.resident_homes", mem.resident_homes as f64);
@@ -888,10 +878,13 @@ impl FleetService {
     /// the current round counter, so a following
     /// [`recover`](Self::recover) sees them as current.
     pub fn evict_all(&mut self) {
-        let write_gen = self.rounds;
         for shard in &mut self.shards {
-            for (home, stream) in std::mem::take(&mut shard.resident) {
-                shard.evict(home, stream, write_gen);
+            for local in 0..shard.slots.len() {
+                if let Slot::Resident(_) = shard.slots[local] {
+                    if let Slot::Resident(stream) = shard.set(local, Slot::Cold) {
+                        shard.evict(local, *stream, self.rounds);
+                    }
+                }
             }
         }
     }
@@ -899,20 +892,25 @@ impl FleetService {
     /// Measures both memory tiers. Resident streams are measured by
     /// [`StreamState::state_bytes`]; cold homes by stored frame length
     /// (in durable mode resident homes also have a synced frame, which
-    /// is not double-counted here — it is disk, not memory).
+    /// is not double-counted here — it is disk, not memory). The
+    /// per-home bookkeeping, a 16 B slot and the store's entry, is not
+    /// counted.
     pub fn memory(&self) -> MemoryStats {
         let mut stats = MemoryStats::default();
         for shard in &self.shards {
-            stats.resident_homes += shard.resident.len();
-            stats.resident_bytes += shard
-                .resident
-                .values()
-                .map(|s| s.state_bytes())
-                .sum::<usize>();
-            for (home, len) in shard.cold.contents() {
-                if !shard.resident.contains_key(&home) && !shard.quarantined.contains_key(&home) {
-                    stats.cold_homes += 1;
-                    stats.cold_bytes += len;
+            for (local, slot) in shard.slots.iter().enumerate() {
+                match slot {
+                    Slot::Resident(stream) => {
+                        stats.resident_homes += 1;
+                        stats.resident_bytes += stream.state_bytes();
+                    }
+                    Slot::Cold => {
+                        if let Some(len) = shard.cold.stored_len(shard.home(local)) {
+                            stats.cold_homes += 1;
+                            stats.cold_bytes += len;
+                        }
+                    }
+                    Slot::Rebuild | Slot::Quarantined(_) => {}
                 }
             }
         }
@@ -948,54 +946,49 @@ impl FleetService {
     /// storage analogue of the supervisor's quarantine report, and
     /// deterministic at any thread count.
     pub fn quarantined(&self) -> Vec<(usize, StoreError)> {
-        let mut out: Vec<(usize, StoreError)> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.quarantined.iter().map(|(&h, e)| (h, e.clone())))
-            .collect();
-        out.sort_unstable_by_key(|&(home, _)| home);
-        out
+        let shards = self.cfg.shards;
+        (0..self.homes)
+            .filter_map(
+                |home| match &self.shards[home % shards].slots[home / shards] {
+                    Slot::Quarantined(err) => Some((home, (**err).clone())),
+                    _ => None,
+                },
+            )
+            .collect()
     }
 
     /// Number of quarantined homes.
     pub fn quarantined_count(&self) -> usize {
-        self.shards.iter().map(|s| s.quarantined.len()).sum()
+        self.shards.iter().map(|s| s.quarantined).sum()
     }
 
     /// Finalizes one home's occupancy series without mutating the fleet
-    /// (`None` if the home was never admitted a chunk or is
-    /// quarantined).
+    /// (`None` if the home was never admitted a chunk, is quarantined
+    /// or awaits a rebuild, or its frame fails validation).
     pub fn finalize_home(&self, home: usize) -> Option<LabelSeries> {
         if home >= self.homes {
             return None;
         }
-        let shard = &self.shards[home % self.cfg.shards];
-        if shard.quarantined.contains_key(&home) {
-            return None;
-        }
-        if let Some(s) = shard.resident.get(&home) {
-            return Some(s.finalize());
-        }
-        let bytes = shard.cold.get(home).ok()??;
-        let cp = store::validate_frame(&bytes, home, self.rounds, self.cfg.detector.window).ok()?;
-        Some(
-            ThresholdStream::from_compact_owned(self.cfg.detector.clone(), self.cfg.spec, cp)
-                .finalize(),
-        )
+        let (shard, local) = (&self.shards[home % self.cfg.shards], home / self.cfg.shards);
+        shard.finalize(local, self.rounds, &self.cfg).ok().flatten()
     }
 
     /// Finalizes every admitted, non-quarantined home (in parallel,
     /// shard by shard) and folds the outputs into a [`FleetDigest`] in
-    /// home-index order.
+    /// home-index order. Panics on a cold frame that fails validation:
+    /// [`scrub`](Self::scrub) first if store faults may have corrupted
+    /// frames since the last admission.
     pub fn digest(&self) -> FleetDigest {
         let _span = obs::span("fleetd.digest");
-        let cfg = &self.cfg;
-        let rounds = self.rounds;
-        let per_shard = rayon::parallel_map(self.shards.iter().collect(), |shard| {
-            shard
-                .finalize_homes(rounds, cfg)
-                .into_iter()
-                .map(|(home, series)| {
+        let (cfg, rounds) = (&self.cfg, self.rounds);
+        // Per shard, by slot: each home's hash and positive labels.
+        let per_shard = rayon::parallel_map(self.shards.iter().collect(), |shard: &Shard| {
+            (0..shard.slots.len())
+                .map(|local| {
+                    let home = shard.home(local);
+                    let series = shard.finalize(local, rounds, cfg).unwrap_or_else(|e| {
+                        panic!("cold frame for home {home} unrecoverable ({e}); scrub first")
+                    })?;
                     let mut h = FNV_OFFSET;
                     h = fnv_u64(h, home as u64);
                     h = fnv_u64(h, series.len() as u64);
@@ -1003,21 +996,25 @@ impl FleetService {
                         h = fnv_byte(h, b as u8);
                     }
                     let positives = series.labels().iter().filter(|&&b| b).count() as u64;
-                    (home, h, positives)
+                    Some((h, positives))
                 })
                 .collect::<Vec<_>>()
         });
-        let mut all: Vec<(usize, u64, u64)> = per_shard.into_iter().flatten().collect();
-        all.sort_unstable_by_key(|&(home, _, _)| home);
-        let mut digest = FNV_OFFSET;
-        let mut positives = 0;
-        for &(home, h, p) in &all {
-            digest = fnv_u64(digest, home as u64);
-            digest = fnv_u64(digest, h);
-            positives += p;
+        // Home `local * shards + i` is slot `local` of shard `i`, so
+        // walking slots across shards visits homes in index order.
+        let (mut digest, mut homes, mut positives) = (FNV_OFFSET, 0, 0);
+        for local in 0..self.homes.div_ceil(cfg.shards) {
+            for (i, slots) in per_shard.iter().enumerate() {
+                if let Some(&Some((h, p))) = slots.get(local) {
+                    digest = fnv_u64(digest, (local * cfg.shards + i) as u64);
+                    digest = fnv_u64(digest, h);
+                    homes += 1;
+                    positives += p;
+                }
+            }
         }
         FleetDigest {
-            homes: all.len(),
+            homes,
             samples: self.samples(),
             positives,
             digest,
@@ -1064,11 +1061,31 @@ mod tests {
             ..FleetdConfig::default()
         };
         let svc = run(cfg, 500, 3);
-        let mem = svc.memory();
-        assert!(mem.resident_homes <= 64, "{mem:?}");
-        assert_eq!(mem.resident_homes + mem.cold_homes, 500);
-        assert!(svc.evictions() > 0);
-        assert!(svc.rehydrations() > 0, "rounds 2+ must rehydrate");
+        // Pinned: how the service keeps its homes must never change
+        // what the memory model, the lifecycle counters or the digest
+        // report.
+        assert_eq!(
+            svc.memory(),
+            MemoryStats {
+                resident_homes: 64,
+                cold_homes: 436,
+                resident_bytes: 24_576,
+                cold_bytes: 63_220,
+            }
+        );
+        assert_eq!((svc.evictions(), svc.rehydrations()), (1_308, 872));
+        assert_eq!(svc.digest().digest, 575_564_107_855_263_640);
+    }
+
+    #[test]
+    fn slot_is_16_bytes() {
+        // Unboxed, `Resident(ThresholdStream)` would make every slot
+        // 136 B: 40.8 MB at 3x10^5 homes, most of them cold.
+        assert!(
+            std::mem::size_of::<Slot>() <= 16,
+            "{} B",
+            std::mem::size_of::<Slot>()
+        );
     }
 
     #[test]
@@ -1135,9 +1152,7 @@ mod tests {
             &cfg.store_faults,
             derive_seed(cfg.root_seed, "store-faults"),
         );
-        let mut reference: Vec<ThresholdStream> = (0..HOMES)
-            .map(|_| ThresholdStream::new(cfg.detector.clone(), cfg.spec).with_fill(cfg.fill))
-            .collect();
+        let mut reference: Vec<ThresholdStream> = (0..HOMES).map(|_| cfg.fresh_stream()).collect();
         let mut svc = FleetService::new(cfg.clone(), HOMES);
         let mut chunk = Vec::new();
         let mut scrub_rebuilt = 0;
@@ -1149,19 +1164,28 @@ mod tests {
                 stream.feed(&chunk);
             }
             for (i, shard) in svc.shards.iter().enumerate() {
-                let live: Vec<usize> = (i..svc.homes)
-                    .step_by(svc.cfg.shards)
-                    .filter(|home| !shard.quarantined.contains_key(home))
-                    .collect();
+                let homes_where = |pred: fn(&Slot) -> bool| -> Vec<usize> {
+                    let slots = shard.slots.iter().enumerate();
+                    slots
+                        .filter(|(_, slot)| pred(slot))
+                        .map(|(local, _)| shard.home(local))
+                        .collect()
+                };
+                let live = homes_where(|slot| !matches!(slot, Slot::Quarantined(_)));
                 let (cold, resident) = live.split_at(live.len().saturating_sub(cap));
                 let ctx = format!("shard {i} round {round}");
                 assert_eq!(
-                    shard.resident.keys().copied().collect::<Vec<_>>(),
+                    homes_where(|slot| matches!(slot, Slot::Resident(_))),
                     resident,
                     "{ctx}: resident homes"
                 );
+                assert_eq!(
+                    homes_where(|slot| matches!(slot, Slot::Cold)),
+                    cold,
+                    "{ctx}: cold slots"
+                );
                 let stored: Vec<usize> = shard.cold.contents().iter().map(|&(h, _)| h).collect();
-                assert_eq!(stored, cold, "{ctx}: cold homes");
+                assert_eq!(stored, cold, "{ctx}: stored frames");
                 for &home in cold {
                     let mut want = store::frame_checkpoint(
                         home as u64,

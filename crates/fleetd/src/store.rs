@@ -31,11 +31,15 @@
 //! frame where it lies. Neither direction copies the payload.
 //!
 //! [`CheckpointStore`] abstracts where frames live: [`MemoryStore`]
-//! keeps them in process memory (today's behavior), [`DurableStore`]
-//! keeps one file per home with atomic temp-file+rename writes, and
-//! [`FaultyStore`] wraps any store with the seeded
-//! [`faults::StoreFaultInjector`] defect model. The service composes
-//! them per shard; `docs/FLEET.md` documents the recovery lifecycle.
+//! keeps them in process memory, in a vector indexed like the shard's
+//! slots (`home / shards`), [`DurableStore`] keeps one file per home
+//! with atomic temp-file+rename writes, and [`FaultyStore`] wraps any
+//! store with the seeded [`faults::StoreFaultInjector`] defect model.
+//! The service composes them per shard and hands each evicted frame's
+//! buffer to the store ([`CheckpointStore::put_owned`]), so the memory
+//! store keeps it without a copy. A durable fleet's round [`Manifest`]
+//! (`FDM2`) records the configuration its frames were written under;
+//! `docs/FLEET.md` documents the recovery lifecycle.
 
 use crate::codec;
 use crate::crc;
@@ -56,7 +60,7 @@ pub const FRAME_MAGIC: [u8; 4] = *b"FDS1";
 pub const FRAME_OVERHEAD: usize = 28;
 
 /// Magic of the fleet manifest file ([`Manifest`]).
-pub const MANIFEST_MAGIC: [u8; 4] = *b"FDM1";
+pub const MANIFEST_MAGIC: [u8; 4] = *b"FDM2";
 
 /// File name of the manifest inside a durable fleet root.
 pub const MANIFEST_FILE: &str = "MANIFEST";
@@ -383,45 +387,146 @@ pub trait CheckpointStore: Send + Sync + std::fmt::Debug {
         Ok(frame)
     }
 
+    /// Stores the bytes of `frame` as [`put`](Self::put) does, taking
+    /// them: on success `frame` is left empty, on error it is untouched,
+    /// so the caller can retry with it. The default puts a copy and
+    /// clears `frame`; a store that keeps frames in memory moves the
+    /// buffer instead — the eviction path of the service.
+    fn put_owned(
+        &mut self,
+        home: usize,
+        generation: u64,
+        frame: &mut Vec<u8>,
+    ) -> Result<(), StoreError> {
+        self.put(home, generation, frame)?;
+        frame.clear();
+        Ok(())
+    }
+
+    /// Byte length of the stored frame for `home`, or `None` if it has
+    /// none.
+    fn stored_len(&self, home: usize) -> Option<usize>;
+
     /// `(home, stored byte length)` for every record, in home order.
     fn contents(&self) -> Vec<(usize, usize)>;
 }
 
-/// In-process store: frames live in a `BTreeMap`, exactly as the
-/// pre-durability service kept its cold tier. Survives nothing, costs
-/// nothing, and is the default.
-#[derive(Debug, Clone, Default)]
+/// In-process store: a vector of frames indexed by a home's place in
+/// the store's layout, homes `offset, offset + stride, …`. The service
+/// builds one per shard ([`for_shard`](Self::for_shard)), so the index
+/// is the home's slot in its shard; [`new`](Self::new) takes any home
+/// id. An entry is `None` when its home has no frame. A 0-byte frame (a
+/// write torn at byte 0) is `Some`: it reads back as present and fails
+/// validation as corrupt, never as missing. Survives nothing, costs no
+/// IO, and is the default.
+///
+/// A home outside the layout has no frame, and putting one panics. The
+/// vector grows to the highest home put and never shrinks, so a
+/// [`new`](Self::new) store holding a few homes with large ids still
+/// costs 24 B per id below them.
+#[derive(Debug, Clone)]
 pub struct MemoryStore {
-    frames: BTreeMap<usize, Vec<u8>>,
+    offset: usize,
+    stride: usize,
+    frames: Vec<Option<Vec<u8>>>,
+}
+
+impl Default for MemoryStore {
+    fn default() -> MemoryStore {
+        MemoryStore::new()
+    }
 }
 
 impl MemoryStore {
-    /// An empty in-memory store.
+    /// An empty in-memory store for any home id.
     pub fn new() -> MemoryStore {
-        MemoryStore::default()
+        MemoryStore::for_shard(0, 1)
+    }
+
+    /// An empty in-memory store for shard `shard` of `shards`, which
+    /// holds homes `shard, shard + shards, …`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards` is zero.
+    pub fn for_shard(shard: usize, shards: usize) -> MemoryStore {
+        assert!(shards > 0, "a store layout needs a nonzero stride");
+        MemoryStore {
+            offset: shard,
+            stride: shards,
+            frames: Vec::new(),
+        }
+    }
+
+    /// `home`'s index in `frames`, or `None` if it is not in the layout.
+    fn index(&self, home: usize) -> Option<usize> {
+        let d = home.checked_sub(self.offset)?;
+        (d % self.stride == 0).then_some(d / self.stride)
+    }
+
+    fn entry(&self, home: usize) -> Option<&Vec<u8>> {
+        self.frames.get(self.index(home)?)?.as_ref()
+    }
+
+    fn entry_mut(&mut self, home: usize) -> Option<&mut Option<Vec<u8>>> {
+        let i = self.index(home)?;
+        self.frames.get_mut(i)
+    }
+
+    fn insert(&mut self, home: usize, frame: Vec<u8>) {
+        let Some(i) = self.index(home) else {
+            panic!(
+                "home {home} is not in this store's layout ({} + k * {})",
+                self.offset, self.stride
+            );
+        };
+        if i >= self.frames.len() {
+            self.frames.resize_with(i + 1, || None);
+        }
+        self.frames[i] = Some(frame);
     }
 }
 
 impl CheckpointStore for MemoryStore {
     fn put(&mut self, home: usize, _generation: u64, frame: &[u8]) -> Result<(), StoreError> {
-        self.frames.insert(home, frame.to_vec());
+        self.insert(home, frame.to_vec());
+        Ok(())
+    }
+
+    fn put_owned(
+        &mut self,
+        home: usize,
+        _generation: u64,
+        frame: &mut Vec<u8>,
+    ) -> Result<(), StoreError> {
+        self.insert(home, std::mem::take(frame));
         Ok(())
     }
 
     fn get(&self, home: usize) -> Result<Option<Vec<u8>>, StoreError> {
-        Ok(self.frames.get(&home).cloned())
+        Ok(self.entry(home).cloned())
     }
 
     fn remove(&mut self, home: usize) {
-        self.frames.remove(&home);
+        if let Some(entry) = self.entry_mut(home) {
+            *entry = None;
+        }
     }
 
     fn take(&mut self, home: usize) -> Result<Option<Vec<u8>>, StoreError> {
-        Ok(self.frames.remove(&home))
+        Ok(self.entry_mut(home).and_then(Option::take))
+    }
+
+    fn stored_len(&self, home: usize) -> Option<usize> {
+        self.entry(home).map(Vec::len)
     }
 
     fn contents(&self) -> Vec<(usize, usize)> {
-        self.frames.iter().map(|(&h, f)| (h, f.len())).collect()
+        self.frames
+            .iter()
+            .enumerate()
+            .filter_map(|(i, f)| Some((self.offset + i * self.stride, f.as_ref()?.len())))
+            .collect()
     }
 }
 
@@ -521,6 +626,10 @@ impl CheckpointStore for DurableStore {
         self.index.remove(&home);
     }
 
+    fn stored_len(&self, home: usize) -> Option<usize> {
+        self.index.get(&home).copied()
+    }
+
     fn contents(&self) -> Vec<(usize, usize)> {
         self.index.iter().map(|(&h, &len)| (h, len)).collect()
     }
@@ -586,6 +695,10 @@ impl CheckpointStore for FaultyStore {
         self.inner.take(home)
     }
 
+    fn stored_len(&self, home: usize) -> Option<usize> {
+        self.inner.stored_len(home)
+    }
+
     fn contents(&self) -> Vec<(usize, usize)> {
         self.inner.contents()
     }
@@ -647,10 +760,20 @@ pub fn validate_frame(
 /// [`FleetService::recover`](crate::FleetService::recover). A frame is
 /// current iff its generation equals the manifest's round counter.
 ///
-/// Layout: `"FDM1"` magic, then `homes`/`shards`/`rounds`/`root_seed`
-/// as little-endian u64, a u32 count of per-shard sample counters
-/// followed by the counters, and a trailing CRC32 over everything after
-/// the magic.
+/// Besides the counters, it records every configuration field a stored
+/// frame's meaning depends on: the shard count and root seed, the NIOM
+/// window, the gap-fill policy and the trace geometry. `recover`
+/// refuses a config that disagrees with any of them. The detector's
+/// thresholds are not recorded: frames keep each closed window's
+/// variance, not a `σ > threshold` flag, so a recovered fleet may be
+/// re-tuned.
+///
+/// Layout: `"FDM2"` magic, then `homes`, `shards`, `rounds`,
+/// `root_seed`, `window`, `fill`, `start` and `resolution` as
+/// little-endian u64, a u32 count of per-shard sample counters followed
+/// by the counters, and a trailing CRC32 over everything after the
+/// magic. An `"FDM1"` manifest, which lacked the four configuration
+/// words, fails as [`FrameError::BadMagic`]; there is no decoder for it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Manifest {
     /// Homes the fleet manages (`0..homes`).
@@ -661,16 +784,41 @@ pub struct Manifest {
     pub rounds: u64,
     /// Root seed of the per-home seed derivation.
     pub root_seed: u64,
+    /// NIOM window in samples (`detector.window`).
+    pub window: u64,
+    /// Gap-fill policy: 0 for `StreamFill::Zero`, 1 for `StreamFill::Hold`.
+    pub fill: u64,
+    /// Timestamp of the first sample, in seconds (`spec.start`).
+    pub start: u64,
+    /// Sampling resolution in seconds (`spec.resolution`).
+    pub resolution: u64,
     /// Per-shard admitted-sample counters, index order.
     pub shard_samples: Vec<u64>,
 }
 
+/// Bytes of a manifest before its per-shard counters: the magic, eight
+/// u64 words and the u32 counter count.
+const MANIFEST_HEADER: usize = 4 + 8 * 8 + 4;
+
 impl Manifest {
+    fn words(&self) -> [u64; 8] {
+        [
+            self.homes,
+            self.shards,
+            self.rounds,
+            self.root_seed,
+            self.window,
+            self.fill,
+            self.start,
+            self.resolution,
+        ]
+    }
+
     /// Serializes the manifest (magic + fields + CRC32).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(&MANIFEST_MAGIC);
-        for v in [self.homes, self.shards, self.rounds, self.root_seed] {
+        for v in self.words() {
             out.extend_from_slice(&v.to_le_bytes());
         }
         out.extend_from_slice(&(self.shard_samples.len() as u32).to_le_bytes());
@@ -686,8 +834,8 @@ impl Manifest {
     ///
     /// # Errors
     ///
-    /// [`FrameError`] on truncation, wrong magic, CRC mismatch, or
-    /// trailing bytes; never panics.
+    /// [`FrameError`] on truncation, wrong magic (an `FDM1` manifest
+    /// included), CRC mismatch, or trailing bytes; never panics.
     pub fn decode(bytes: &[u8]) -> Result<Manifest, FrameError> {
         if bytes.len() < 4 {
             return Err(FrameError::Truncated {
@@ -697,20 +845,20 @@ impl Manifest {
         if bytes[..4] != MANIFEST_MAGIC {
             return Err(FrameError::BadMagic);
         }
-        if bytes.len() < 40 {
+        if bytes.len() < MANIFEST_HEADER {
             return Err(FrameError::Truncated {
                 offset: bytes.len(),
             });
         }
-        let word = |i: usize| {
-            u64::from_le_bytes(bytes[4 + 8 * i..12 + 8 * i].try_into().expect("8 bytes"))
-        };
-        let (homes, shards, rounds, root_seed) = (word(0), word(1), word(2), word(3));
-        let n = u32::from_le_bytes(bytes[36..40].try_into().expect("4 bytes")) as usize;
-        let end = 40usize
-            .checked_add(n.checked_mul(8).ok_or(FrameError::Truncated {
-                offset: bytes.len(),
-            })?)
+        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+        let n = u32::from_le_bytes(
+            bytes[MANIFEST_HEADER - 4..MANIFEST_HEADER]
+                .try_into()
+                .expect("4 bytes"),
+        ) as usize;
+        let end = n
+            .checked_mul(8)
+            .and_then(|counters| MANIFEST_HEADER.checked_add(counters))
             .ok_or(FrameError::Truncated {
                 offset: bytes.len(),
             })?;
@@ -729,15 +877,16 @@ impl Manifest {
         if stored != computed {
             return Err(FrameError::CrcMismatch { stored, computed });
         }
-        let shard_samples = (0..n)
-            .map(|i| u64::from_le_bytes(bytes[40 + 8 * i..48 + 8 * i].try_into().expect("8 bytes")))
-            .collect();
         Ok(Manifest {
-            homes,
-            shards,
-            rounds,
-            root_seed,
-            shard_samples,
+            homes: word(4),
+            shards: word(12),
+            rounds: word(20),
+            root_seed: word(28),
+            window: word(36),
+            fill: word(44),
+            start: word(52),
+            resolution: word(60),
+            shard_samples: (0..n).map(|i| word(MANIFEST_HEADER + 8 * i)).collect(),
         })
     }
 
@@ -1004,6 +1153,30 @@ mod tests {
     }
 
     #[test]
+    fn memory_store_holds_one_shards_homes() {
+        let mut store = MemoryStore::for_shard(2, 4);
+        store.put(10, 1, b"ten").unwrap();
+        // A write torn at byte 0 leaves a present, empty frame.
+        store.put(2, 1, &[]).unwrap();
+        assert_eq!(store.contents(), vec![(2, 0), (10, 3)]);
+        assert_eq!(store.get(2).unwrap(), Some(Vec::new()));
+        assert_eq!(store.stored_len(2), Some(0));
+        for foreign in [0, 1, 3, 9, 11, 14] {
+            store.remove(foreign);
+            assert_eq!(store.get(foreign).unwrap(), None, "home {foreign}");
+            assert_eq!(store.take(foreign).unwrap(), None, "home {foreign}");
+            assert_eq!(store.stored_len(foreign), None, "home {foreign}");
+        }
+        assert_eq!(store.contents(), vec![(2, 0), (10, 3)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not in this store's layout")]
+    fn memory_store_refuses_another_shards_home() {
+        let _ = MemoryStore::for_shard(2, 4).put(3, 1, b"x");
+    }
+
+    #[test]
     fn durable_store_persists_across_reopen() {
         let dir = tmp_dir("reopen");
         let frame = encode_frame(11, 4, &payload());
@@ -1097,10 +1270,21 @@ mod tests {
             shards: 16,
             rounds: 4,
             root_seed: 7,
+            window: 15,
+            fill: 1,
+            start: 86_400,
+            resolution: 60,
             shard_samples: (0..16).map(|i| 1000 + i).collect(),
         };
         let bytes = m.encode();
+        assert_eq!(&bytes[..4], b"FDM2");
+        assert_eq!(bytes.len(), 72 + 16 * 8 + 4);
         assert_eq!(Manifest::decode(&bytes).unwrap(), m);
+        // Every word sits where the layout says, so no two fields can
+        // swap unnoticed.
+        for (at, want) in [(36, 15u64), (44, 1), (52, 86_400), (60, 60)] {
+            assert_eq!(bytes[at..at + 8], want.to_le_bytes(), "word at {at}");
+        }
         for cut in 0..bytes.len() {
             assert!(Manifest::decode(&bytes[..cut]).is_err(), "cut {cut}");
         }
@@ -1109,6 +1293,17 @@ mod tests {
             bad[at] ^= 0x10;
             assert!(Manifest::decode(&bad).is_err(), "flip at {at}");
         }
+
+        // An intact FDM1 manifest (no configuration words, valid CRC) is
+        // refused at its magic; there is no decoder for it.
+        let mut fdm1 = b"FDM1".to_vec();
+        for v in [600u64, 16, 4, 7] {
+            fdm1.extend_from_slice(&v.to_le_bytes());
+        }
+        fdm1.extend_from_slice(&0u32.to_le_bytes());
+        let crc = crc32(&fdm1[4..]);
+        fdm1.extend_from_slice(&crc.to_le_bytes());
+        assert_eq!(Manifest::decode(&fdm1), Err(FrameError::BadMagic));
 
         let root = tmp_dir("manifest");
         assert_eq!(Manifest::read(&root), Ok(None));

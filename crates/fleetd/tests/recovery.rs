@@ -10,6 +10,8 @@ use fleetd::store::{self, durable_home_path};
 use fleetd::{FleetService, FleetdConfig, RecoverError, RecoveryPolicy, StoreConfig};
 use niom::ThresholdDetector;
 use std::path::{Path, PathBuf};
+use stream::{StreamFill, StreamSpec};
+use timeseries::{Resolution, Timestamp};
 
 const HOMES: usize = 400;
 const SAMPLES: usize = 25;
@@ -211,29 +213,72 @@ fn offline_corruption_quarantines_exactly_the_corrupted_homes() {
 }
 
 #[test]
+fn recover_refuses_a_fleet_written_under_another_window() {
+    // 64 homes in 4 shards, written under a 30-sample window after two
+    // 20-sample rounds: one closed window and 10 open samples per home.
+    // Every open window also fits a 15-sample window, so the frames
+    // validate under either; only the manifest can tell which window
+    // wrote them.
+    let root = temp_root("other-window");
+    let cfg = |window| FleetdConfig {
+        detector: ThresholdDetector::with_window(window),
+        shards: 4,
+        store: StoreConfig::Durable { root: root.clone() },
+        ..FleetdConfig::default()
+    };
+    let mut svc = FleetService::new(cfg(30), 64);
+    run_rounds(&mut svc, 0, 2);
+    let digest = svc.digest();
+    drop(svc);
+
+    assert_eq!(
+        FleetService::recover(cfg(15)).err(),
+        Some(RecoverError::ConfigMismatch {
+            field: "window",
+            manifest: 30,
+            config: 15,
+        })
+    );
+    let (recovered, report) = FleetService::recover(cfg(30)).expect("same window");
+    assert_eq!(report.recovered, 64);
+    assert_eq!(recovered.digest(), digest);
+
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn frames_from_a_longer_window_are_corrupt_not_a_panic() {
     // A fleet written under a 30-sample window holds 20 open samples per
-    // home after one 20-sample round. Reopened under a 15-sample window,
-    // no home's open window fits: recovery must see every frame as
-    // corrupt at its open-count field (frame byte 41) and apply the
+    // home after one 20-sample round. Copied into a fleet of the same
+    // layout run under a 15-sample window, whose manifest matches its
+    // config, no frame's open window fits: recovery must see every frame
+    // as corrupt at its open-count field (frame byte 41) and apply the
     // policy, instead of restoring streams that panic on the next round.
     const HOMES: usize = 64;
     let window = |w| ThresholdDetector::with_window(w);
     for policy in [RecoveryPolicy::Rebuild, RecoveryPolicy::Quarantine] {
-        let root = temp_root(&format!("window-mismatch-{policy:?}"));
-        let written = FleetdConfig {
-            detector: window(30),
-            ..durable_cfg(&root)
-        };
-        let mut svc = FleetService::new(written, HOMES);
-        svc.admit_round(0, 20);
-        drop(svc);
-
+        let foreign = temp_root(&format!("window-30-{policy:?}"));
+        let root = temp_root(&format!("window-15-{policy:?}"));
         let cfg = FleetdConfig {
             detector: window(15),
             recovery: policy,
             ..durable_cfg(&root)
         };
+        for (dir, detector) in [(&foreign, window(30)), (&root, window(15))] {
+            let mut svc = FleetService::new(
+                FleetdConfig {
+                    detector,
+                    ..durable_cfg(dir)
+                },
+                HOMES,
+            );
+            svc.admit_round(0, 20);
+        }
+        for home in 0..HOMES {
+            let from = durable_home_path(&foreign, cfg.shards, home);
+            std::fs::copy(from, durable_home_path(&root, cfg.shards, home)).unwrap();
+        }
+
         let (mut recovered, report) = FleetService::recover(cfg).expect("manifest is intact");
         assert_eq!(report.recovered, 0, "{policy:?}");
         recovered.admit_round(1, 20);
@@ -267,6 +312,7 @@ fn frames_from_a_longer_window_are_corrupt_not_a_panic() {
                 assert_eq!(recovered.digest().homes, 0);
             }
         }
+        let _ = std::fs::remove_dir_all(&foreign);
         let _ = std::fs::remove_dir_all(&root);
     }
 }
@@ -371,6 +417,50 @@ fn recover_rejects_mismatched_or_missing_fleets() {
             config: 8,
         })
     );
+    // The fill policy and the trace geometry are part of what a frame
+    // means, too.
+    let wrong_fill = FleetdConfig {
+        fill: StreamFill::Hold,
+        ..durable_cfg(&root)
+    };
+    let wrong_start = FleetdConfig {
+        spec: StreamSpec::new(Timestamp(3_600), Resolution::ONE_MINUTE),
+        ..durable_cfg(&root)
+    };
+    let wrong_resolution = FleetdConfig {
+        spec: StreamSpec::new(Timestamp::ZERO, Resolution::ONE_SECOND),
+        ..durable_cfg(&root)
+    };
+    for (cfg, field, manifest, config) in [
+        (wrong_fill, "fill", 0, 1),
+        (wrong_start, "start", 0, 3_600),
+        (wrong_resolution, "resolution", 60, 1),
+    ] {
+        assert_eq!(
+            FleetService::recover(cfg).err(),
+            Some(RecoverError::ConfigMismatch {
+                field,
+                manifest,
+                config,
+            })
+        );
+    }
+
+    // A manifest in the previous layout (`FDM1`, before the manifest
+    // recorded the detector configuration) is unusable, not misread.
+    let mut fdm1 = b"FDM1".to_vec();
+    for v in [HOMES as u64, 16, 0, 7] {
+        fdm1.extend_from_slice(&v.to_le_bytes());
+    }
+    fdm1.extend_from_slice(&16u32.to_le_bytes());
+    fdm1.extend_from_slice(&[0; 16 * 8]);
+    let crc = store::crc32(&fdm1[4..]);
+    fdm1.extend_from_slice(&crc.to_le_bytes());
+    std::fs::write(root.join(store::MANIFEST_FILE), fdm1).unwrap();
+    assert!(matches!(
+        FleetService::recover(durable_cfg(&root)),
+        Err(RecoverError::Manifest(_))
+    ));
 
     let _ = std::fs::remove_dir_all(&root);
 }
