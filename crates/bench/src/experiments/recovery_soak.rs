@@ -155,11 +155,11 @@ pub fn run(cfg: &RunConfig) -> Report {
     let at = flip.len() - 5;
     flip[at] ^= 0x10;
     std::fs::write(path(CORRUPT_FLIP), &flip).unwrap();
-    let stale = store::decode_frame(&std::fs::read(path(CORRUPT_STALE)).unwrap())
-        .expect("frame is valid before corruption");
+    let stale = std::fs::read(path(CORRUPT_STALE)).unwrap();
+    let stale = store::decode_frame(&stale).expect("frame is valid before corruption");
     std::fs::write(
         path(CORRUPT_STALE),
-        store::encode_frame(CORRUPT_STALE as u64, ROUNDS - 1, &stale.payload),
+        store::encode_frame(CORRUPT_STALE as u64, ROUNDS - 1, stale.payload),
     )
     .unwrap();
 

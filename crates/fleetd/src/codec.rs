@@ -1,4 +1,5 @@
-//! Compact binary codec for evicted per-home checkpoints.
+//! Compact binary codec for evicted per-home checkpoints, and the one
+//! reader every stored layout of `fleetd` is parsed with.
 //!
 //! An evicted home is exactly one encoded
 //! [`stream::WindowCheckpoint`] of its [`stream::ThresholdStream`]: the
@@ -26,8 +27,14 @@
 //! Earlier versions are not decoded. `"FDC2"` stored each closed window
 //! as a 40-byte summary (mean, variance, range, min, max); `"FDC1"` also
 //! stored a u64 start per closed window and the open window's start.
-//! Either fails with [`CodecError::BadMagic`], which the store reports as
+//! Either fails with [`DecodeError::BadMagic`], which the store reports as
 //! corrupt and the service's recovery policy then handles.
+//!
+//! The checkpoint, the store's frame ([`crate::store::decode_frame`]) and
+//! its manifest ([`crate::store::Manifest::decode`]) are parsed by one
+//! bounds-checked little-endian cursor, which checks the magic, caps
+//! every reservation by the bytes left and refuses trailing bytes. All
+//! three fail through [`DecodeError`].
 
 use niom::MeanVariance;
 use stream::{FillCheckpoint, WindowCheckpoint};
@@ -42,72 +49,88 @@ pub(crate) const OPEN_COUNT_OFFSET: usize = 4 + 9;
 /// Encoded bytes per closed window.
 const RECORD_BYTES: usize = 16;
 
-/// Why a byte buffer failed to decode as a checkpoint.
+/// Why stored bytes failed to parse: an encoded checkpoint ([`decode`]),
+/// a store frame ([`decode_frame`](crate::store::decode_frame)) or a
+/// fleet manifest ([`Manifest::decode`](crate::store::Manifest::decode)).
 ///
-/// Every variant carries the byte offset it is anchored at (see
-/// [`CodecError::offset`]) so recovery logs can name *where* a stored
-/// record went bad, not just that it did.
+/// Every variant names the byte it is anchored at (see
+/// [`DecodeError::offset`]), counted from the start of the parsed buffer,
+/// so recovery logs can say *where* a stored record went bad, not just
+/// that it did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CodecError {
-    /// Buffer ended before the structure it promised; `offset` is the
-    /// position of the field that could not be read.
+pub enum DecodeError {
+    /// The buffer ended inside a field.
     Truncated {
-        /// Byte position at which more input was required.
+        /// Byte position of the field that could not be read.
         offset: usize,
     },
-    /// The buffer doesn't start with [`MAGIC`].
+    /// The buffer doesn't start with its layout's magic (byte 0 of every
+    /// layout).
     BadMagic,
-    /// Unknown fill-automaton tag at `offset`.
+    /// Unknown fill-automaton tag.
     BadFillTag {
         /// The unrecognized tag byte.
         tag: u8,
         /// Byte position of the tag.
         offset: usize,
     },
-    /// Bytes remain after a complete checkpoint ending at `offset`.
+    /// The stored CRC32 doesn't match the bytes it covers.
+    CrcMismatch {
+        /// Byte position of the stored CRC.
+        offset: usize,
+        /// CRC stored in the record.
+        stored: u32,
+        /// CRC computed over the record's contents.
+        computed: u32,
+    },
+    /// Bytes remain after a complete record.
     TrailingBytes {
-        /// Byte position where the checkpoint ended.
+        /// Byte position where the record ended and the surplus begins.
         offset: usize,
         /// Number of surplus bytes.
         trailing: usize,
     },
 }
 
-impl CodecError {
-    /// Byte offset the error is anchored at: where input ran out, where
-    /// the bad tag sits, or where surplus bytes begin (0 for a bad
-    /// magic).
+impl DecodeError {
+    /// Byte offset the error is anchored at: the field that could not be
+    /// read, the magic (0), the bad tag, the stored CRC, or where surplus
+    /// bytes begin.
     pub fn offset(&self) -> usize {
         match *self {
-            CodecError::Truncated { offset } => offset,
-            CodecError::BadMagic => 0,
-            CodecError::BadFillTag { offset, .. } => offset,
-            CodecError::TrailingBytes { offset, .. } => offset,
+            DecodeError::BadMagic => 0,
+            DecodeError::Truncated { offset }
+            | DecodeError::BadFillTag { offset, .. }
+            | DecodeError::CrcMismatch { offset, .. }
+            | DecodeError::TrailingBytes { offset, .. } => offset,
         }
     }
 }
 
-impl std::fmt::Display for CodecError {
+impl std::fmt::Display for DecodeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CodecError::Truncated { offset } => {
-                write!(f, "checkpoint buffer truncated at byte {offset}")
-            }
-            CodecError::BadMagic => write!(f, "checkpoint magic mismatch at byte 0"),
-            CodecError::BadFillTag { tag, offset } => {
+        match *self {
+            DecodeError::Truncated { offset } => write!(f, "truncated at byte {offset}"),
+            DecodeError::BadMagic => write!(f, "magic mismatch at byte 0"),
+            DecodeError::BadFillTag { tag, offset } => {
                 write!(f, "unknown fill tag {tag} at byte {offset}")
             }
-            CodecError::TrailingBytes { offset, trailing } => {
-                write!(
-                    f,
-                    "{trailing} trailing bytes after checkpoint end at byte {offset}"
-                )
+            DecodeError::CrcMismatch {
+                offset,
+                stored,
+                computed,
+            } => write!(
+                f,
+                "crc mismatch at byte {offset} (stored {stored:#010x}, computed {computed:#010x})"
+            ),
+            DecodeError::TrailingBytes { offset, trailing } => {
+                write!(f, "{trailing} trailing bytes at byte {offset}")
             }
         }
     }
 }
 
-impl std::error::Error for CodecError {}
+impl std::error::Error for DecodeError {}
 
 /// Serializes a checkpoint into the compact binary layout.
 ///
@@ -162,39 +185,86 @@ pub fn encoded_len(cp: &WindowCheckpoint<MeanVariance>) -> usize {
     OPEN_COUNT_OFFSET + 4 + 8 * cp.open.len() + 4 + RECORD_BYTES * cp.closed.len()
 }
 
-struct Reader<'a> {
+/// The bounds-checked little-endian cursor over one stored record: the
+/// checkpoint here, the frame and the manifest in [`crate::store`].
+pub(crate) struct Reader<'a> {
     buf: &'a [u8],
     at: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+    /// Starts reading `buf`, which must open with `magic`.
+    pub(crate) fn open(buf: &'a [u8], magic: [u8; 4]) -> Result<Reader<'a>, DecodeError> {
+        let mut r = Reader { buf, at: 0 };
+        if r.take(4)? != magic {
+            return Err(DecodeError::BadMagic);
+        }
+        Ok(r)
+    }
+
+    /// Offset of the next byte to read.
+    pub(crate) fn at(&self) -> usize {
+        self.at
+    }
+
+    /// The next `n` bytes, or `Truncated` at the current offset.
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
         let end = self
             .at
             .checked_add(n)
-            .ok_or(CodecError::Truncated { offset: self.at })?;
-        if end > self.buf.len() {
-            return Err(CodecError::Truncated { offset: self.at });
-        }
+            .filter(|&end| end <= self.buf.len())
+            .ok_or(DecodeError::Truncated { offset: self.at })?;
         let s = &self.buf[self.at..end];
         self.at = end;
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, CodecError> {
+    fn u8(&mut self) -> Result<u8, DecodeError> {
         Ok(self.take(1)?[0])
     }
 
-    fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+    pub(crate) fn u32(&mut self) -> Result<u32, DecodeError> {
+        Ok(u32::from_le_bytes(
+            self.take(4)?.try_into().expect("4 bytes"),
+        ))
     }
 
-    fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    pub(crate) fn u64(&mut self) -> Result<u64, DecodeError> {
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("8 bytes"),
+        ))
     }
 
-    fn f64(&mut self) -> Result<f64, CodecError> {
+    fn f64(&mut self) -> Result<f64, DecodeError> {
         Ok(f64::from_bits(self.u64()?))
+    }
+
+    /// A u32 count, then that many `size`-byte items read by `item`. The
+    /// reservation is capped by the bytes left, so a corrupt count
+    /// cannot reserve more than the buffer could hold.
+    pub(crate) fn counted<T>(
+        &mut self,
+        size: usize,
+        mut item: impl FnMut(&mut Self) -> Result<T, DecodeError>,
+    ) -> Result<Vec<T>, DecodeError> {
+        let n = self.u32()? as usize;
+        let mut out = Vec::with_capacity(n.min((self.buf.len() - self.at) / size));
+        for _ in 0..n {
+            out.push(item(self)?);
+        }
+        Ok(out)
+    }
+
+    /// Ends the record: any bytes left over are `TrailingBytes` at the
+    /// current offset.
+    pub(crate) fn finish(self) -> Result<(), DecodeError> {
+        match self.buf.len() - self.at {
+            0 => Ok(()),
+            trailing => Err(DecodeError::TrailingBytes {
+                offset: self.at,
+                trailing,
+            }),
+        }
     }
 }
 
@@ -202,14 +272,11 @@ impl<'a> Reader<'a> {
 ///
 /// # Errors
 ///
-/// [`CodecError`] on truncation, magic mismatch, an unknown fill tag, or
-/// trailing bytes. Never panics on malformed input.
-pub fn decode(bytes: &[u8]) -> Result<WindowCheckpoint<MeanVariance>, CodecError> {
-    let mut r = Reader { buf: bytes, at: 0 };
-    if r.take(4)? != MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    let tag_at = r.at;
+/// [`DecodeError`] on truncation, magic mismatch, an unknown fill tag,
+/// or trailing bytes. Never panics on malformed input.
+pub fn decode(bytes: &[u8]) -> Result<WindowCheckpoint<MeanVariance>, DecodeError> {
+    let mut r = Reader::open(bytes, MAGIC)?;
+    let tag_at = r.at();
     let tag = r.u8()?;
     let payload = r.u64()?;
     let fill = match tag {
@@ -218,31 +285,20 @@ pub fn decode(bytes: &[u8]) -> Result<WindowCheckpoint<MeanVariance>, CodecError
         2 => FillCheckpoint::HoldPending(payload),
         3 => FillCheckpoint::HoldLast(f64::from_bits(payload)),
         tag => {
-            return Err(CodecError::BadFillTag {
+            return Err(DecodeError::BadFillTag {
                 tag,
                 offset: tag_at,
             })
         }
     };
-    let open_len = r.u32()? as usize;
-    let mut open = Vec::with_capacity(open_len.min(bytes.len() / 8));
-    for _ in 0..open_len {
-        open.push(r.f64()?);
-    }
-    let closed_len = r.u32()? as usize;
-    let mut closed = Vec::with_capacity(closed_len.min(bytes.len() / RECORD_BYTES));
-    for _ in 0..closed_len {
-        closed.push(MeanVariance {
+    let open = r.counted(8, Reader::f64)?;
+    let closed = r.counted(RECORD_BYTES, |r| {
+        Ok(MeanVariance {
             mean: r.f64()?,
             variance: r.f64()?,
-        });
-    }
-    if r.at != bytes.len() {
-        return Err(CodecError::TrailingBytes {
-            offset: r.at,
-            trailing: bytes.len() - r.at,
-        });
-    }
+        })
+    })?;
+    r.finish()?;
     Ok(WindowCheckpoint { fill, open, closed })
 }
 
@@ -303,8 +359,8 @@ mod tests {
     #[test]
     fn malformed_buffers_error_not_panic() {
         let good = encode(&sample_checkpoint());
-        assert_eq!(decode(&[]), Err(CodecError::Truncated { offset: 0 }));
-        assert_eq!(decode(b"NOPE"), Err(CodecError::BadMagic));
+        assert_eq!(decode(&[]), Err(DecodeError::Truncated { offset: 0 }));
+        assert_eq!(decode(b"NOPE"), Err(DecodeError::BadMagic));
         for cut in 0..good.len() {
             let err = decode(&good[..cut]).expect_err("every prefix must fail");
             assert!(err.offset() <= cut, "cut {cut}: {err}");
@@ -313,7 +369,7 @@ mod tests {
         trailing.push(0);
         assert_eq!(
             decode(&trailing),
-            Err(CodecError::TrailingBytes {
+            Err(DecodeError::TrailingBytes {
                 offset: good.len(),
                 trailing: 1
             })
@@ -322,7 +378,7 @@ mod tests {
         bad_tag[4] = 9;
         assert_eq!(
             decode(&bad_tag),
-            Err(CodecError::BadFillTag { tag: 9, offset: 4 })
+            Err(DecodeError::BadFillTag { tag: 9, offset: 4 })
         );
     }
 
@@ -337,7 +393,7 @@ mod tests {
         bytes.extend_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(
             decode(&bytes),
-            Err(CodecError::Truncated {
+            Err(DecodeError::Truncated {
                 offset: bytes.len()
             })
         );

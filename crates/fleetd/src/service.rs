@@ -794,10 +794,23 @@ impl FleetService {
     /// sequential from 0 — in degraded mode the generator is also what
     /// replays a lost home's completed rounds, so it must be the same
     /// function every round.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `round` is not [`rounds`](Self::rounds), the next round:
+    /// every frame is written, and every cold frame is expected, at the
+    /// generation the round counter gives, so a skipped or repeated
+    /// round would fail every cold home as stale.
     pub fn admit_round_with<F>(&mut self, round: u64, gen: &F)
     where
         F: Fn(u64, u64, &mut Vec<Sample>) + Sync,
     {
+        assert!(
+            round == self.rounds,
+            "round {round} admitted out of order: {} rounds are complete, so the next is round {}",
+            self.rounds,
+            self.rounds
+        );
         let _span = obs::span("fleetd.admit");
         let cfg = &self.cfg;
         self.shards = rayon::parallel_map(std::mem::take(&mut self.shards), |mut shard| {
@@ -1184,7 +1197,10 @@ mod tests {
                     cold,
                     "{ctx}: cold slots"
                 );
-                let stored: Vec<usize> = shard.cold.contents().iter().map(|&(h, _)| h).collect();
+                let stored: Vec<usize> = homes_where(|_| true)
+                    .into_iter()
+                    .filter(|&home| shard.cold.stored_len(home).is_some())
+                    .collect();
                 assert_eq!(stored, cold, "{ctx}: stored frames");
                 for &home in cold {
                     let mut want = store::frame_checkpoint(
@@ -1249,6 +1265,22 @@ mod tests {
         // rebuilt mid-round from a corrupt frame.
         assert!(scrub_rebuilt > 0);
         assert!(svc.store_rebuilds() > scrub_rebuilt as u64);
+    }
+
+    #[test]
+    #[should_panic(expected = "round 2 admitted out of order: 1 rounds are complete")]
+    fn a_skipped_round_is_refused() {
+        let mut svc = FleetService::new(FleetdConfig::default(), 10);
+        svc.admit_round(0, 30);
+        svc.admit_round(2, 30);
+    }
+
+    #[test]
+    #[should_panic(expected = "round 0 admitted out of order: 1 rounds are complete")]
+    fn a_repeated_round_is_refused() {
+        let mut svc = FleetService::new(FleetdConfig::default(), 10);
+        svc.admit_round(0, 30);
+        svc.admit_round(0, 30);
     }
 
     #[test]

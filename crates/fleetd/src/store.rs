@@ -27,8 +27,15 @@
 //! so the bytes are kept cheap: [`frame_checkpoint`] encodes the payload
 //! straight after the header, [`crc32`] folds the header fields and the
 //! payload as two slices (carry-less multiplies on x86-64 CPUs that have
-//! them, slicing-by-16 elsewhere), and [`validate_frame`] checks the
-//! frame where it lies. Neither direction copies the payload.
+//! them, slicing-by-16 elsewhere), and [`decode_frame`] returns a
+//! [`Frame`] that borrows its payload from the stored bytes. Neither
+//! direction copies the payload.
+//!
+//! Frames and the round [`Manifest`] are parsed by the codec's cursor,
+//! so every layout fails through the one [`DecodeError`], whose offset
+//! counts from the start of the parsed buffer. [`validate_frame`] reports it as
+//! [`StoreError::Corrupt`], adding the 28-byte header to a payload
+//! offset so that it names a byte of the frame.
 //!
 //! [`CheckpointStore`] abstracts where frames live: [`MemoryStore`]
 //! keeps them in process memory, in a vector indexed like the shard's
@@ -38,16 +45,16 @@
 //! The service composes them per shard and hands each evicted frame's
 //! buffer to the store ([`CheckpointStore::put_owned`]), so the memory
 //! store keeps it without a copy. A durable fleet's round [`Manifest`]
-//! (`FDM2`) records the configuration its frames were written under;
+//! (`FDM2`) records the configuration its frames were written under,
+//! and is written with the same temp-file+rename step as a frame;
 //! `docs/FLEET.md` documents the recovery lifecycle.
 
-use crate::codec;
+use crate::codec::{self, DecodeError, Reader};
 use crate::crc;
 use faults::StoreFaultInjector;
 use niom::MeanVariance;
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use stream::WindowCheckpoint;
 
@@ -64,84 +71,6 @@ pub const MANIFEST_MAGIC: [u8; 4] = *b"FDM2";
 
 /// File name of the manifest inside a durable fleet root.
 pub const MANIFEST_FILE: &str = "MANIFEST";
-
-/// Why a byte buffer failed to parse as a stored frame (or manifest).
-///
-/// Every variant pinpoints the failing byte via [`FrameError::offset`]
-/// so recovery logs can say *where* a record went bad, mirroring the
-/// offset-carrying [`CodecError`](crate::codec::CodecError).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameError {
-    /// Buffer ended before the structure it promised; `offset` is where
-    /// the missing bytes were needed.
-    Truncated {
-        /// Byte position at which more input was required.
-        offset: usize,
-    },
-    /// The buffer doesn't start with the expected magic.
-    BadMagic,
-    /// The stored CRC32 doesn't match the record's contents.
-    CrcMismatch {
-        /// CRC stored in the record.
-        stored: u32,
-        /// CRC computed over the record's contents.
-        computed: u32,
-    },
-    /// Bytes remain after a complete record.
-    TrailingBytes {
-        /// Number of surplus bytes.
-        trailing: usize,
-    },
-}
-
-impl FrameError {
-    /// Byte offset the error is anchored at (0 for a bad magic, the CRC
-    /// field for a checksum mismatch, the record end for trailing
-    /// bytes).
-    pub fn offset(&self) -> usize {
-        match *self {
-            FrameError::Truncated { offset } => offset,
-            FrameError::BadMagic => 0,
-            FrameError::CrcMismatch { .. } => 24,
-            FrameError::TrailingBytes { .. } => FRAME_OVERHEAD,
-        }
-    }
-}
-
-impl std::fmt::Display for FrameError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FrameError::Truncated { offset } => {
-                write!(f, "frame truncated (needed more bytes at offset {offset})")
-            }
-            FrameError::BadMagic => write!(f, "frame magic mismatch at offset 0"),
-            FrameError::CrcMismatch { stored, computed } => {
-                write!(
-                    f,
-                    "frame crc mismatch (stored {stored:#010x}, computed {computed:#010x})"
-                )
-            }
-            FrameError::TrailingBytes { trailing } => {
-                write!(f, "{trailing} trailing bytes after frame payload")
-            }
-        }
-    }
-}
-
-impl std::error::Error for FrameError {}
-
-/// A decoded stored frame: who it belongs to, when it was written, and
-/// the codec payload (not yet decoded — see
-/// [`validate_frame`] for the full pipeline).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Frame {
-    /// Home index the payload belongs to.
-    pub home: u64,
-    /// Generation counter: admission rounds completed when written.
-    pub generation: u64,
-    /// Codec-encoded checkpoint bytes.
-    pub payload: Vec<u8>,
-}
 
 /// Appends a frame header for a `payload_len`-byte payload to `out`,
 /// with a zero placeholder where [`seal`] later writes the CRC.
@@ -191,72 +120,50 @@ pub fn frame_checkpoint(
     out
 }
 
-/// A validated frame that borrows its payload from the stored bytes.
-struct FrameRef<'a> {
-    home: u64,
-    generation: u64,
-    payload: &'a [u8],
+/// A stored frame, parsed and CRC-checked where it lies: who it belongs
+/// to, when it was written, and its codec payload, borrowed from the
+/// stored bytes and not yet decoded (see [`validate_frame`] for the full
+/// pipeline).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Frame<'a> {
+    /// Home index the payload belongs to.
+    pub home: u64,
+    /// Generation counter: admission rounds completed when written.
+    pub generation: u64,
+    /// Codec-encoded checkpoint bytes.
+    pub payload: &'a [u8],
 }
 
-/// Parses and CRC-validates a stored frame in place.
-fn parse_frame(bytes: &[u8]) -> Result<FrameRef<'_>, FrameError> {
-    if bytes.len() < 4 {
-        return Err(FrameError::Truncated {
-            offset: bytes.len(),
-        });
-    }
-    if bytes[..4] != FRAME_MAGIC {
-        return Err(FrameError::BadMagic);
-    }
-    if bytes.len() < FRAME_OVERHEAD {
-        return Err(FrameError::Truncated {
-            offset: bytes.len(),
-        });
-    }
-    let home = u64::from_le_bytes(bytes[4..12].try_into().expect("8 bytes"));
-    let generation = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
-    let len = u32::from_le_bytes(bytes[20..24].try_into().expect("4 bytes")) as usize;
-    let stored = u32::from_le_bytes(bytes[24..28].try_into().expect("4 bytes"));
-    let end = FRAME_OVERHEAD
-        .checked_add(len)
-        .ok_or(FrameError::Truncated {
-            offset: bytes.len(),
-        })?;
-    if bytes.len() < end {
-        return Err(FrameError::Truncated {
-            offset: bytes.len(),
-        });
-    }
-    if bytes.len() > end {
-        return Err(FrameError::TrailingBytes {
-            trailing: bytes.len() - end,
-        });
-    }
-    let payload = &bytes[FRAME_OVERHEAD..end];
-    let computed = frame_crc(bytes, payload);
-    if computed != stored {
-        return Err(FrameError::CrcMismatch { stored, computed });
-    }
-    Ok(FrameRef {
-        home,
-        generation,
-        payload,
-    })
-}
-
-/// Parses and CRC-validates a stored frame.
+/// Parses and CRC-validates a stored frame. The checks run in layout
+/// order: the magic, the header fields, the payload length against the
+/// buffer, trailing bytes, then the CRC over `home‖gen‖len‖payload`.
 ///
 /// # Errors
 ///
-/// [`FrameError`] on truncation at any prefix length, wrong magic, any
+/// [`DecodeError`] on truncation at any prefix length, wrong magic, any
 /// single-byte corruption (caught by the CRC, the length field, or the
 /// magic), or trailing bytes. Never panics on malformed input.
-pub fn decode_frame(bytes: &[u8]) -> Result<Frame, FrameError> {
-    let frame = parse_frame(bytes)?;
+pub fn decode_frame(bytes: &[u8]) -> Result<Frame<'_>, DecodeError> {
+    let mut r = Reader::open(bytes, FRAME_MAGIC)?;
+    let home = r.u64()?;
+    let generation = r.u64()?;
+    let len = r.u32()? as usize;
+    let crc_at = r.at();
+    let stored = r.u32()?;
+    let payload = r.take(len)?;
+    r.finish()?;
+    let computed = frame_crc(bytes, payload);
+    if computed != stored {
+        return Err(DecodeError::CrcMismatch {
+            offset: crc_at,
+            stored,
+            computed,
+        });
+    }
     Ok(Frame {
-        home: frame.home,
-        generation: frame.generation,
-        payload: frame.payload.to_vec(),
+        home,
+        generation,
+        payload,
     })
 }
 
@@ -406,9 +313,6 @@ pub trait CheckpointStore: Send + Sync + std::fmt::Debug {
     /// Byte length of the stored frame for `home`, or `None` if it has
     /// none.
     fn stored_len(&self, home: usize) -> Option<usize>;
-
-    /// `(home, stored byte length)` for every record, in home order.
-    fn contents(&self) -> Vec<(usize, usize)>;
 }
 
 /// In-process store: a vector of frames indexed by a home's place in
@@ -520,14 +424,6 @@ impl CheckpointStore for MemoryStore {
     fn stored_len(&self, home: usize) -> Option<usize> {
         self.entry(home).map(Vec::len)
     }
-
-    fn contents(&self) -> Vec<(usize, usize)> {
-        self.frames
-            .iter()
-            .enumerate()
-            .filter_map(|(i, f)| Some((self.offset + i * self.stride, f.as_ref()?.len())))
-            .collect()
-    }
 }
 
 /// File name of home `home`'s frame inside its shard directory.
@@ -538,6 +434,16 @@ pub fn home_file_name(home: usize) -> String {
 /// Directory of shard `shard` inside a durable fleet root.
 pub fn shard_dir(root: &Path, shard: usize) -> PathBuf {
     root.join(format!("shard-{shard}"))
+}
+
+/// Writes `bytes` to `dir/name` through a temp file in the same
+/// directory renamed into place, so a crash mid-write can tear at most
+/// the temp file, never the record. Frames and the manifest are written
+/// this way.
+fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> std::io::Result<()> {
+    let tmp = dir.join(format!(".tmp-{name}"));
+    fs::write(&tmp, bytes)?;
+    fs::rename(tmp, dir.join(name))
 }
 
 /// Full path of home `home`'s frame file under a durable fleet root
@@ -600,15 +506,8 @@ impl DurableStore {
 
 impl CheckpointStore for DurableStore {
     fn put(&mut self, home: usize, _generation: u64, frame: &[u8]) -> Result<(), StoreError> {
-        let tmp = self.dir.join(format!(".tmp-{}", home_file_name(home)));
-        let path = self.dir.join(home_file_name(home));
-        let write = || -> std::io::Result<()> {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(frame)?;
-            drop(f);
-            fs::rename(&tmp, &path)
-        };
-        write().map_err(|e| Self::io_err("put", home, e))?;
+        write_atomic(&self.dir, &home_file_name(home), frame)
+            .map_err(|e| Self::io_err("put", home, e))?;
         self.index.insert(home, frame.len());
         Ok(())
     }
@@ -629,10 +528,6 @@ impl CheckpointStore for DurableStore {
     fn stored_len(&self, home: usize) -> Option<usize> {
         self.index.get(&home).copied()
     }
-
-    fn contents(&self) -> Vec<(usize, usize)> {
-        self.index.iter().map(|(&h, &len)| (h, len)).collect()
-    }
 }
 
 /// Wraps any store with the seeded [`StoreFaultInjector`] defect model:
@@ -644,7 +539,10 @@ impl CheckpointStore for DurableStore {
 pub struct FaultyStore {
     inner: Box<dyn CheckpointStore>,
     injector: StoreFaultInjector,
-    attempts: BTreeMap<(usize, u64), u32>,
+    /// Per home, the generation last put and the attempts made at it. A
+    /// home's generation never decreases, so this counts attempts per
+    /// `(home, generation)` while holding one entry per home.
+    attempts: BTreeMap<usize, (u64, u32)>,
 }
 
 impl FaultyStore {
@@ -663,13 +561,16 @@ impl CheckpointStore for FaultyStore {
         let failures = self
             .injector
             .transient_put_failures(home as u64, generation);
-        let attempt = self.attempts.entry((home, generation)).or_insert(0);
-        *attempt += 1;
-        if *attempt <= failures {
+        let entry = self.attempts.entry(home).or_insert((generation, 0));
+        if entry.0 != generation {
+            *entry = (generation, 0);
+        }
+        entry.1 += 1;
+        if entry.1 <= failures {
             return Err(StoreError::Transient {
                 op: "put",
                 home,
-                attempt: *attempt,
+                attempt: entry.1,
             });
         }
         if self.injector.stale_replay(home as u64, generation) {
@@ -698,10 +599,6 @@ impl CheckpointStore for FaultyStore {
     fn stored_len(&self, home: usize) -> Option<usize> {
         self.inner.stored_len(home)
     }
-
-    fn contents(&self) -> Vec<(usize, usize)> {
-        self.inner.contents()
-    }
 }
 
 /// Fully validates a stored frame for `home` at `expected_generation`
@@ -718,7 +615,7 @@ pub fn validate_frame(
     expected_generation: u64,
     window: usize,
 ) -> Result<WindowCheckpoint<MeanVariance>, StoreError> {
-    let frame = parse_frame(bytes).map_err(|e| StoreError::Corrupt {
+    let frame = decode_frame(bytes).map_err(|e| StoreError::Corrupt {
         home,
         offset: e.offset(),
         detail: e.to_string(),
@@ -773,7 +670,7 @@ pub fn validate_frame(
 /// little-endian u64, a u32 count of per-shard sample counters followed
 /// by the counters, and a trailing CRC32 over everything after the
 /// magic. An `"FDM1"` manifest, which lacked the four configuration
-/// words, fails as [`FrameError::BadMagic`]; there is no decoder for it.
+/// words, fails as [`DecodeError::BadMagic`]; there is no decoder for it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Manifest {
     /// Homes the fleet manages (`0..homes`).
@@ -795,10 +692,6 @@ pub struct Manifest {
     /// Per-shard admitted-sample counters, index order.
     pub shard_samples: Vec<u64>,
 }
-
-/// Bytes of a manifest before its per-shard counters: the magic, eight
-/// u64 words and the u32 counter count.
-const MANIFEST_HEADER: usize = 4 + 8 * 8 + 4;
 
 impl Manifest {
     fn words(&self) -> [u64; 8] {
@@ -834,70 +727,40 @@ impl Manifest {
     ///
     /// # Errors
     ///
-    /// [`FrameError`] on truncation, wrong magic (an `FDM1` manifest
+    /// [`DecodeError`] on truncation, wrong magic (an `FDM1` manifest
     /// included), CRC mismatch, or trailing bytes; never panics.
-    pub fn decode(bytes: &[u8]) -> Result<Manifest, FrameError> {
-        if bytes.len() < 4 {
-            return Err(FrameError::Truncated {
-                offset: bytes.len(),
+    pub fn decode(bytes: &[u8]) -> Result<Manifest, DecodeError> {
+        let mut r = Reader::open(bytes, MANIFEST_MAGIC)?;
+        // Fields are read in layout order, as written by `encode`.
+        let manifest = Manifest {
+            homes: r.u64()?,
+            shards: r.u64()?,
+            rounds: r.u64()?,
+            root_seed: r.u64()?,
+            window: r.u64()?,
+            fill: r.u64()?,
+            start: r.u64()?,
+            resolution: r.u64()?,
+            shard_samples: r.counted(8, Reader::u64)?,
+        };
+        let crc_at = r.at();
+        let stored = r.u32()?;
+        r.finish()?;
+        let computed = crc32(&bytes[4..crc_at]);
+        if computed != stored {
+            return Err(DecodeError::CrcMismatch {
+                offset: crc_at,
+                stored,
+                computed,
             });
         }
-        if bytes[..4] != MANIFEST_MAGIC {
-            return Err(FrameError::BadMagic);
-        }
-        if bytes.len() < MANIFEST_HEADER {
-            return Err(FrameError::Truncated {
-                offset: bytes.len(),
-            });
-        }
-        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
-        let n = u32::from_le_bytes(
-            bytes[MANIFEST_HEADER - 4..MANIFEST_HEADER]
-                .try_into()
-                .expect("4 bytes"),
-        ) as usize;
-        let end = n
-            .checked_mul(8)
-            .and_then(|counters| MANIFEST_HEADER.checked_add(counters))
-            .ok_or(FrameError::Truncated {
-                offset: bytes.len(),
-            })?;
-        if bytes.len() < end + 4 {
-            return Err(FrameError::Truncated {
-                offset: bytes.len(),
-            });
-        }
-        if bytes.len() > end + 4 {
-            return Err(FrameError::TrailingBytes {
-                trailing: bytes.len() - end - 4,
-            });
-        }
-        let stored = u32::from_le_bytes(bytes[end..end + 4].try_into().expect("4 bytes"));
-        let computed = crc32(&bytes[4..end]);
-        if stored != computed {
-            return Err(FrameError::CrcMismatch { stored, computed });
-        }
-        Ok(Manifest {
-            homes: word(4),
-            shards: word(12),
-            rounds: word(20),
-            root_seed: word(28),
-            window: word(36),
-            fill: word(44),
-            start: word(52),
-            resolution: word(60),
-            shard_samples: (0..n).map(|i| word(MANIFEST_HEADER + 8 * i)).collect(),
-        })
+        Ok(manifest)
     }
 
     /// Atomically writes the manifest under `root` (temp + rename).
     pub fn write(&self, root: &Path) -> std::io::Result<()> {
         fs::create_dir_all(root)?;
-        let tmp = root.join(".tmp-MANIFEST");
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(&self.encode())?;
-        drop(f);
-        fs::rename(tmp, root.join(MANIFEST_FILE))
+        write_atomic(root, MANIFEST_FILE, &self.encode())
     }
 
     /// Reads the manifest under `root`: `Ok(None)` when no manifest
@@ -1067,6 +930,13 @@ mod tests {
         }
     }
 
+    /// `(home, stored length)` for every home below 16 that has a frame.
+    fn listing(store: &dyn CheckpointStore) -> Vec<(usize, usize)> {
+        (0..16)
+            .filter_map(|home| Some((home, store.stored_len(home)?)))
+            .collect()
+    }
+
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("fleetd-store-test-{tag}-{}", std::process::id()));
@@ -1087,12 +957,32 @@ mod tests {
         assert_eq!(crate::codec::encode(&cp), p);
     }
 
+    /// Asserts that `err`, from parsing `bytes`, names a byte of them: a
+    /// stored CRC where that CRC lies, surplus bytes where they begin,
+    /// and anything else at or before the end.
+    fn assert_names_a_byte(bytes: &[u8], err: DecodeError) {
+        assert!(
+            err.offset() <= bytes.len(),
+            "{err} in {} bytes",
+            bytes.len()
+        );
+        match err {
+            DecodeError::CrcMismatch { offset, stored, .. } => {
+                assert_eq!(bytes[offset..offset + 4], stored.to_le_bytes(), "{err}")
+            }
+            DecodeError::TrailingBytes { offset, trailing } => {
+                assert_eq!(offset + trailing, bytes.len(), "{err}")
+            }
+            _ => {}
+        }
+    }
+
     #[test]
     fn every_prefix_truncation_errors_cleanly() {
         let bytes = encode_frame(5, 9, &payload());
         for cut in 0..bytes.len() {
             let err = decode_frame(&bytes[..cut]).expect_err("prefix must fail");
-            assert!(err.offset() <= bytes.len(), "cut {cut}: {err}");
+            assert_names_a_byte(&bytes[..cut], err);
         }
     }
 
@@ -1103,9 +993,46 @@ mod tests {
             for bit in 0..8 {
                 let mut bad = bytes.clone();
                 bad[at] ^= 1 << bit;
-                assert!(decode_frame(&bad).is_err(), "flip at byte {at} bit {bit}");
+                let err = decode_frame(&bad).expect_err("a flip must fail");
+                assert_names_a_byte(&bad, err);
             }
         }
+    }
+
+    #[test]
+    fn offsets_name_where_a_record_went_bad() {
+        // Surplus bytes after a frame's 53-byte payload begin at byte 81,
+        // not at the end of the header.
+        let cp = WindowCheckpoint {
+            fill: FillCheckpoint::Zero,
+            open: vec![1.0, 2.0, 3.0, 4.0],
+            closed: Vec::new(),
+        };
+        let mut frame = frame_checkpoint(5, 9, &cp);
+        assert_eq!(frame.len(), FRAME_OVERHEAD + 53);
+        frame.extend_from_slice(&[0; 3]);
+        match validate_frame(&frame, 5, 9, WINDOW) {
+            Err(StoreError::Corrupt { offset, .. }) => assert_eq!(offset, 81),
+            other => panic!("expected corrupt frame, got {other:?}"),
+        }
+        // A 2-shard manifest is 92 bytes with its CRC at byte 88.
+        let bytes = manifest(2).encode();
+        assert_eq!(bytes.len(), 92);
+        let mut flipped = bytes.clone();
+        flipped[90] ^= 1;
+        assert!(matches!(
+            Manifest::decode(&flipped),
+            Err(DecodeError::CrcMismatch { offset: 88, .. })
+        ));
+        let mut long = bytes;
+        long.push(0);
+        assert_eq!(
+            Manifest::decode(&long),
+            Err(DecodeError::TrailingBytes {
+                offset: 92,
+                trailing: 1
+            })
+        );
     }
 
     #[test]
@@ -1144,12 +1071,12 @@ mod tests {
         store.put(7, 1, &encode_frame(7, 1, &payload())).unwrap();
         assert_eq!(store.get(2).unwrap().as_deref(), Some(&frame[..]));
         assert_eq!(store.get(3).unwrap(), None);
-        assert_eq!(store.contents(), vec![(2, frame.len()), (7, frame.len())]);
+        assert_eq!(listing(&store), vec![(2, frame.len()), (7, frame.len())]);
         store.remove(2);
         assert_eq!(store.get(2).unwrap(), None);
         assert_eq!(store.take(7).unwrap(), Some(encode_frame(7, 1, &payload())));
         assert_eq!(store.take(7).unwrap(), None);
-        assert!(store.contents().is_empty());
+        assert!(listing(&store).is_empty());
     }
 
     #[test]
@@ -1158,7 +1085,7 @@ mod tests {
         store.put(10, 1, b"ten").unwrap();
         // A write torn at byte 0 leaves a present, empty frame.
         store.put(2, 1, &[]).unwrap();
-        assert_eq!(store.contents(), vec![(2, 0), (10, 3)]);
+        assert_eq!(listing(&store), vec![(2, 0), (10, 3)]);
         assert_eq!(store.get(2).unwrap(), Some(Vec::new()));
         assert_eq!(store.stored_len(2), Some(0));
         for foreign in [0, 1, 3, 9, 11, 14] {
@@ -1167,7 +1094,7 @@ mod tests {
             assert_eq!(store.take(foreign).unwrap(), None, "home {foreign}");
             assert_eq!(store.stored_len(foreign), None, "home {foreign}");
         }
-        assert_eq!(store.contents(), vec![(2, 0), (10, 3)]);
+        assert_eq!(listing(&store), vec![(2, 0), (10, 3)]);
     }
 
     #[test]
@@ -1191,7 +1118,7 @@ mod tests {
         let store = DurableStore::open(dir.clone()).unwrap();
         assert_eq!(store.get(11).unwrap().as_deref(), Some(&frame[..]));
         assert_eq!(store.get(3).unwrap(), None);
-        assert_eq!(store.contents(), vec![(11, frame.len())]);
+        assert_eq!(listing(&store), vec![(11, frame.len())]);
         // No stray temp files survive a clean write.
         assert!(fs::read_dir(&dir).unwrap().all(|e| !e
             .unwrap()
@@ -1242,6 +1169,27 @@ mod tests {
     }
 
     #[test]
+    fn faulty_store_keeps_one_attempt_count_per_home() {
+        let plan = FaultPlan::for_store(vec![StoreFault::Transient {
+            prob: 0.5,
+            max_failures: 2,
+        }]);
+        let inj = faults::StoreFaultInjector::new(&plan, 3);
+        let mut store = FaultyStore::new(Box::new(MemoryStore::new()), inj);
+        let mut retries = 0;
+        for generation in 1..=20 {
+            for home in 0..10 {
+                let frame = encode_frame(home as u64, generation, &payload());
+                while store.put(home, generation, &frame).is_err() {
+                    retries += 1;
+                }
+            }
+        }
+        assert!(retries > 0, "0.5 transient over 200 writes must fire");
+        assert_eq!(store.attempts.len(), 10);
+    }
+
+    #[test]
     fn stale_replay_keeps_previous_generation() {
         let plan = FaultPlan::for_store(vec![StoreFault::StaleReplay { prob: 1.0 }]);
         let inj = faults::StoreFaultInjector::new(&plan, 1);
@@ -1263,19 +1211,23 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn manifest_round_trips_and_validates() {
-        let m = Manifest {
+    fn manifest(shards: u64) -> Manifest {
+        Manifest {
             homes: 600,
-            shards: 16,
+            shards,
             rounds: 4,
             root_seed: 7,
             window: 15,
             fill: 1,
             start: 86_400,
             resolution: 60,
-            shard_samples: (0..16).map(|i| 1000 + i).collect(),
-        };
+            shard_samples: (0..shards).map(|i| 1000 + i).collect(),
+        }
+    }
+
+    #[test]
+    fn manifest_round_trips_and_validates() {
+        let m = manifest(16);
         let bytes = m.encode();
         assert_eq!(&bytes[..4], b"FDM2");
         assert_eq!(bytes.len(), 72 + 16 * 8 + 4);
@@ -1286,12 +1238,14 @@ mod tests {
             assert_eq!(bytes[at..at + 8], want.to_le_bytes(), "word at {at}");
         }
         for cut in 0..bytes.len() {
-            assert!(Manifest::decode(&bytes[..cut]).is_err(), "cut {cut}");
+            let err = Manifest::decode(&bytes[..cut]).expect_err("prefix must fail");
+            assert_names_a_byte(&bytes[..cut], err);
         }
         for at in 0..bytes.len() {
             let mut bad = bytes.clone();
             bad[at] ^= 0x10;
-            assert!(Manifest::decode(&bad).is_err(), "flip at {at}");
+            let err = Manifest::decode(&bad).expect_err("a flip must fail");
+            assert_names_a_byte(&bad, err);
         }
 
         // An intact FDM1 manifest (no configuration words, valid CRC) is
@@ -1303,7 +1257,7 @@ mod tests {
         fdm1.extend_from_slice(&0u32.to_le_bytes());
         let crc = crc32(&fdm1[4..]);
         fdm1.extend_from_slice(&crc.to_le_bytes());
-        assert_eq!(Manifest::decode(&fdm1), Err(FrameError::BadMagic));
+        assert_eq!(Manifest::decode(&fdm1), Err(DecodeError::BadMagic));
 
         let root = tmp_dir("manifest");
         assert_eq!(Manifest::read(&root), Ok(None));

@@ -126,7 +126,7 @@ fn torn_round_future_generation_frames_are_rebuilt() {
         let frame = store::decode_frame(&bytes).expect("frame is valid");
         std::fs::write(
             &path,
-            store::encode_frame(home as u64, CRASH_AT + 1, &frame.payload),
+            store::encode_frame(home as u64, CRASH_AT + 1, frame.payload),
         )
         .unwrap();
     }
@@ -175,10 +175,11 @@ fn offline_corruption_quarantines_exactly_the_corrupted_homes() {
     let at = flip_bytes.len() - 3;
     flip_bytes[at] ^= 0x40;
     std::fs::write(path(flipped), &flip_bytes).unwrap();
-    let stale_frame = store::decode_frame(&std::fs::read(path(stale)).unwrap()).unwrap();
+    let stale_bytes = std::fs::read(path(stale)).unwrap();
+    let stale_frame = store::decode_frame(&stale_bytes).unwrap();
     std::fs::write(
         path(stale),
-        store::encode_frame(stale as u64, ROUNDS - 1, &stale_frame.payload),
+        store::encode_frame(stale as u64, ROUNDS - 1, stale_frame.payload),
     )
     .unwrap();
 

@@ -8,8 +8,8 @@
 
 mod support;
 
-use fleetd::codec;
-use fleetd::store::{self, FrameError, FRAME_OVERHEAD};
+use fleetd::codec::{self, DecodeError};
+use fleetd::store::{self, FRAME_OVERHEAD};
 use niom::ThresholdDetector;
 use proptest::prelude::*;
 use stream::{Sample, StreamFill, StreamSpec, StreamState, ThresholdStream};
@@ -143,7 +143,7 @@ proptest! {
         let junk_len = junk.len();
         prop_assert_eq!(
             store::decode_frame(&bytes).unwrap_err(),
-            FrameError::TrailingBytes { trailing: junk_len }
+            DecodeError::TrailingBytes { offset: end, trailing: junk_len }
         );
         prop_assert!(store::decode_frame(&bytes[..end]).is_ok());
     }

@@ -91,8 +91,9 @@ pub trait WindowedDetector {
     /// Runs detection over per-window records.
     ///
     /// `windows` must be exactly what [`records`](Self::records) yields
-    /// for a `len`-sample trace: `(window start index, record)` pairs in
-    /// trace order, trailing partial window included. Batch
+    /// for a `len`-sample trace: one record per window in trace order,
+    /// trailing partial window included, so window `i` covers samples
+    /// `i × window` up to the next window or `len`. Batch
     /// [`detect`](OccupancyDetector::detect) is a thin wrapper over
     /// this; the streaming layer calls it with records it accumulated
     /// chunk by chunk, which keeps the two paths byte-identical.
@@ -101,13 +102,13 @@ pub trait WindowedDetector {
         start: Timestamp,
         resolution: Resolution,
         len: usize,
-        windows: &[(usize, Self::Record)],
+        windows: &[Self::Record],
     ) -> LabelSeries;
 
-    /// The `(window start index, record)` pairs of `meter`.
-    fn records(&self, meter: &PowerTrace) -> Vec<(usize, Self::Record)> {
+    /// The per-window records of `meter`.
+    fn records(&self, meter: &PowerTrace) -> Vec<Self::Record> {
         WindowStats::new(meter, self.window())
-            .map(|(start, summary)| (start, Self::Record::of(&summary)))
+            .map(|(_, summary)| Self::Record::of(&summary))
             .collect()
     }
 }

@@ -212,14 +212,12 @@ impl HmmDetector {
         start: Timestamp,
         resolution: Resolution,
         len: usize,
-        windows: &[(usize, f64)],
         path: &[usize],
         occupied_state: usize,
     ) -> LabelSeries {
         let mut labels = vec![false; len];
-        for (&(w_start, _), &state) in windows.iter().zip(path) {
-            let end = (w_start + self.window).min(labels.len());
-            labels[w_start..end].fill(state == occupied_state);
+        for (window, &state) in labels.chunks_mut(self.window).zip(path) {
+            window.fill(state == occupied_state);
         }
         if let Some((from, to)) = self.night_prior {
             crate::threshold::apply_night_prior(&mut labels, start, resolution, from, to);
@@ -252,20 +250,19 @@ impl WindowedDetector for HmmDetector {
         start: Timestamp,
         resolution: Resolution,
         len: usize,
-        windows: &[(usize, f64)],
+        means: &[f64],
     ) -> LabelSeries {
         if len == 0 {
             return LabelSeries::new(start, resolution, Vec::new());
         }
-        let xs: Vec<f64> = windows.iter().map(|&(_, m)| m).collect();
-        if xs.len() < 4 {
+        if means.len() < 4 {
             // Too little data for EM; fall back to "all unoccupied".
             return LabelSeries::new(start, resolution, vec![false; len]);
         }
-        let hmm = self.fit(&xs);
-        let path = hmm.viterbi(&xs);
+        let hmm = self.fit(means);
+        let path = hmm.viterbi(means);
         let occupied_state = if hmm.mu[0] >= hmm.mu[1] { 0 } else { 1 };
-        self.labels_from_path(start, resolution, len, windows, &path, occupied_state)
+        self.labels_from_path(start, resolution, len, &path, occupied_state)
     }
 }
 

@@ -74,14 +74,9 @@ impl LogisticDetector {
         for (meter, occupancy) in homes {
             assert_eq!(meter.len(), occupancy.len(), "misaligned training pair");
             let baseline = baseline_watts(meter, window);
-            for (start, summary) in WindowStats::new(meter, window) {
-                let end = (start + window).min(occupancy.len());
-                let occupied = occupancy.labels()[start..end]
-                    .iter()
-                    .filter(|&&b| b)
-                    .count()
-                    * 2
-                    >= end - start;
+            let summaries = WindowStats::new(meter, window).map(|(_, summary)| summary);
+            for (labels, summary) in occupancy.labels().chunks(window).zip(summaries) {
+                let occupied = labels.iter().filter(|&&b| b).count() * 2 >= labels.len();
                 xs.push(features(&summary, baseline));
                 ys.push(if occupied { 1.0 } else { 0.0 });
             }
@@ -162,20 +157,18 @@ impl WindowedDetector for LogisticDetector {
         start: Timestamp,
         resolution: Resolution,
         len: usize,
-        windows: &[(usize, Summary)],
+        windows: &[Summary],
     ) -> LabelSeries {
-        let means: Vec<f64> = windows.iter().map(|(_, s)| s.mean).collect();
+        let means: Vec<f64> = windows.iter().map(|s| s.mean).collect();
         let baseline = baseline_from_window_means(&means);
         let mut labels = vec![false; len];
-        for (w_start, summary) in windows {
+        for (window, summary) in labels.chunks_mut(self.window).zip(windows) {
             let mut x = features(summary, baseline);
             for (k, v) in x.iter_mut().enumerate() {
                 *v = (*v - self.feat_mean[k]) / self.feat_std[k];
             }
             let z: f64 = self.bias + self.weights.iter().zip(&x).map(|(w, v)| w * v).sum::<f64>();
-            let occupied = z > 0.0;
-            let end = (w_start + self.window).min(labels.len());
-            labels[*w_start..end].fill(occupied);
+            window.fill(z > 0.0);
         }
         if let Some((from, to)) = self.night_prior {
             apply_night_prior(&mut labels, start, resolution, from, to);

@@ -131,21 +131,19 @@ impl WindowedDetector for ThresholdDetector {
         start: Timestamp,
         resolution: Resolution,
         len: usize,
-        windows: &[(usize, MeanVariance)],
+        windows: &[MeanVariance],
     ) -> LabelSeries {
-        let means: Vec<f64> = windows.iter().map(|(_, r)| r.mean).collect();
+        let means: Vec<f64> = windows.iter().map(|r| r.mean).collect();
         let baseline = self.baseline_from_window_means(&means);
-        let mut labels = vec![false; len];
-        let mut window_flags = Vec::new();
-        for (w_start, record) in windows {
-            window_flags.push((*w_start, self.classify_window(record, baseline)));
-        }
+        let flags: Vec<bool> = windows
+            .iter()
+            .map(|r| self.classify_window(r, baseline))
+            .collect();
         // Smooth at window granularity.
-        let flags: Vec<bool> = window_flags.iter().map(|&(_, f)| f).collect();
         let smoothed = smooth_bool_runs(&flags, self.min_run_windows);
-        for (&(w_start, _), &flag) in window_flags.iter().zip(&smoothed) {
-            let end = (w_start + self.window).min(labels.len());
-            labels[w_start..end].fill(flag);
+        let mut labels = vec![false; len];
+        for (window, &flag) in labels.chunks_mut(self.window).zip(&smoothed) {
+            window.fill(flag);
         }
         if let Some((from, to)) = self.night_prior {
             apply_night_prior(&mut labels, start, resolution, from, to);

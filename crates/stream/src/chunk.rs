@@ -110,32 +110,40 @@ impl StreamFill {
     }
 }
 
-/// Incremental counterpart of [`FaultyTrace::fill`]: resolves each
-/// incoming sample to the value the batch fill would put in that slot,
-/// calling `emit` once per resolved sample (possibly several times on the
-/// sample that ends a leading-gap run under Hold, and zero times while
-/// such a run is open).
+/// The causal gap-fill automaton, and its position in a
+/// [`WindowCheckpoint`](crate::WindowCheckpoint): the incremental
+/// counterpart of [`FaultyTrace::fill`]. The only mutable fill state is a
+/// count of withheld leading gaps or the last valid wattage (see
+/// [`StreamFill::Hold`]), so a checkpoint stores this one tagged scalar
+/// and resumes byte-identically.
+///
+/// Inside a stream it resolves each incoming sample to the value the
+/// batch fill would put in that slot, emitting once per resolved sample
+/// (possibly several times on the sample that ends a leading-gap run
+/// under Hold, and zero times while such a run is open).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) enum FillState {
-    /// No fill: samples are forwarded verbatim (clean-trace ingestion; gap
-    /// flags are resolved as 0 W so the stream stays total, but feeding
-    /// gaps without a fill policy has no batch counterpart).
+pub enum FillCheckpoint {
+    /// No fill policy: samples are forwarded verbatim (clean-trace
+    /// ingestion; gap flags are resolved as 0 W so the stream stays
+    /// total, but feeding gaps without a fill policy has no batch
+    /// counterpart).
     Passthrough,
-    /// [`StreamFill::Zero`].
+    /// [`StreamFill::Zero`]: gaps read as 0 W (no mutable state).
     Zero,
-    /// [`StreamFill::Hold`], with either a count of withheld leading gaps
-    /// or the last valid (unclamped) wattage.
-    HoldPending(usize),
-    /// See [`FillState::HoldPending`].
+    /// [`StreamFill::Hold`] with an open leading-gap run of this many
+    /// withheld samples.
+    HoldPending(u64),
+    /// [`StreamFill::Hold`] after the first valid sample, carrying the
+    /// last valid (unclamped) wattage.
     HoldLast(f64),
 }
 
-impl FillState {
-    pub(crate) fn new(fill: Option<StreamFill>) -> FillState {
+impl FillCheckpoint {
+    pub(crate) fn new(fill: Option<StreamFill>) -> FillCheckpoint {
         match fill {
-            None => FillState::Passthrough,
-            Some(StreamFill::Zero) => FillState::Zero,
-            Some(StreamFill::Hold) => FillState::HoldPending(0),
+            None => FillCheckpoint::Passthrough,
+            Some(StreamFill::Zero) => FillCheckpoint::Zero,
+            Some(StreamFill::Hold) => FillCheckpoint::HoldPending(0),
         }
     }
 
@@ -144,7 +152,7 @@ impl FillState {
     /// [`FaultyTrace::from_raw`]).
     pub(crate) fn is_gap(&self, sample: &Sample) -> bool {
         match self {
-            FillState::Passthrough => sample.gap,
+            FillCheckpoint::Passthrough => sample.gap,
             _ => sample.gap || !sample.watts.is_finite(),
         }
     }
@@ -152,26 +160,26 @@ impl FillState {
     pub(crate) fn push(&mut self, sample: Sample, emit: &mut impl FnMut(f64)) {
         let gap = self.is_gap(&sample);
         match *self {
-            FillState::Passthrough => emit(if gap { 0.0 } else { sample.watts }),
-            FillState::Zero => emit(if gap { 0.0 } else { sample.watts.max(0.0) }),
-            FillState::HoldPending(n) => {
+            FillCheckpoint::Passthrough => emit(if gap { 0.0 } else { sample.watts }),
+            FillCheckpoint::Zero => emit(if gap { 0.0 } else { sample.watts.max(0.0) }),
+            FillCheckpoint::HoldPending(n) => {
                 if gap {
-                    *self = FillState::HoldPending(n + 1);
+                    *self = FillCheckpoint::HoldPending(n + 1);
                 } else {
                     // Batch Hold seeds `last` with the first valid value, so
                     // the leading gaps all read as that value.
                     for _ in 0..=n {
                         emit(sample.watts.max(0.0));
                     }
-                    *self = FillState::HoldLast(sample.watts);
+                    *self = FillCheckpoint::HoldLast(sample.watts);
                 }
             }
-            FillState::HoldLast(last) => {
+            FillCheckpoint::HoldLast(last) => {
                 if gap {
                     emit(last.max(0.0));
                 } else {
                     emit(sample.watts.max(0.0));
-                    *self = FillState::HoldLast(sample.watts);
+                    *self = FillCheckpoint::HoldLast(sample.watts);
                 }
             }
         }
@@ -182,7 +190,7 @@ impl FillState {
     /// `first_valid().unwrap_or(0.0)`).
     pub(crate) fn flush(&self) -> (usize, f64) {
         match *self {
-            FillState::HoldPending(n) => (n, 0.0),
+            FillCheckpoint::HoldPending(n) => (n as usize, 0.0),
             _ => (0, 0.0),
         }
     }
@@ -193,7 +201,7 @@ mod tests {
     use super::*;
 
     fn resolve(fill: Option<StreamFill>, samples: &[Sample]) -> Vec<f64> {
-        let mut state = FillState::new(fill);
+        let mut state = FillCheckpoint::new(fill);
         let mut out = Vec::new();
         for &s in samples {
             state.push(s, &mut |v| out.push(v));

@@ -8,30 +8,10 @@
 //! (and the open window's) from the closed-window count; its
 //! [`WindowCheckpoint`] has the same shape.
 
-use crate::chunk::{FillState, Sample, StreamFill};
+use crate::chunk::{FillCheckpoint, Sample, StreamFill};
 use crate::FeedReport;
 use niom::WindowRecord;
 use timeseries::Summary;
-
-/// The gap-fill position inside a [`WindowCheckpoint`].
-///
-/// Mirrors the stream's internal fill automaton so a checkpoint can be
-/// serialized compactly and resumed byte-identically: the only mutable
-/// fill state is either a count of withheld leading gaps or the last
-/// valid wattage (see [`crate::StreamFill::Hold`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FillCheckpoint {
-    /// No fill policy: samples forwarded verbatim.
-    Passthrough,
-    /// [`crate::StreamFill::Zero`]: gaps read as 0 W (no mutable state).
-    Zero,
-    /// [`crate::StreamFill::Hold`] with an open leading-gap run of this
-    /// many withheld samples.
-    HoldPending(u64),
-    /// [`crate::StreamFill::Hold`] after the first valid sample, carrying
-    /// the last valid (unclamped) wattage.
-    HoldLast(f64),
-}
 
 /// Compact snapshot of a windowed NIOM stream's mutable state — the
 /// eviction/rehydration target of the resident fleet service
@@ -55,26 +35,6 @@ pub struct WindowCheckpoint<R> {
     pub closed: Vec<R>,
 }
 
-impl FillState {
-    fn to_compact(self) -> FillCheckpoint {
-        match self {
-            FillState::Passthrough => FillCheckpoint::Passthrough,
-            FillState::Zero => FillCheckpoint::Zero,
-            FillState::HoldPending(n) => FillCheckpoint::HoldPending(n as u64),
-            FillState::HoldLast(w) => FillCheckpoint::HoldLast(w),
-        }
-    }
-
-    fn from_compact(fill: FillCheckpoint) -> FillState {
-        match fill {
-            FillCheckpoint::Passthrough => FillState::Passthrough,
-            FillCheckpoint::Zero => FillState::Zero,
-            FillCheckpoint::HoldPending(n) => FillState::HoldPending(n as usize),
-            FillCheckpoint::HoldLast(w) => FillState::HoldLast(w),
-        }
-    }
-}
-
 /// Records the obs counters every power-stream `feed` emits.
 pub(crate) fn record_power_chunk(items: usize, gaps: usize) {
     obs::counter_add("stream.chunks", 1);
@@ -86,14 +46,14 @@ pub(crate) fn record_power_chunk(items: usize, gaps: usize) {
 /// the whole trace through the batch code at finalize.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct SampleBuf {
-    fill: FillState,
+    fill: FillCheckpoint,
     samples: Vec<f64>,
 }
 
 impl SampleBuf {
     pub(crate) fn new(fill: Option<StreamFill>) -> SampleBuf {
         SampleBuf {
-            fill: FillState::new(fill),
+            fill: FillCheckpoint::new(fill),
             samples: Vec::new(),
         }
     }
@@ -145,7 +105,7 @@ impl SampleBuf {
 /// them), and the trailing partial window is summarized on demand.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct WindowBuf<R> {
-    fill: FillState,
+    fill: FillCheckpoint,
     window: usize,
     open: Vec<f64>,
     closed: Vec<R>,
@@ -155,7 +115,7 @@ impl<R: WindowRecord> WindowBuf<R> {
     pub(crate) fn new(fill: Option<StreamFill>, window: usize) -> WindowBuf<R> {
         assert!(window > 0, "window must be non-empty");
         WindowBuf {
-            fill: FillState::new(fill),
+            fill: FillCheckpoint::new(fill),
             window,
             open: Vec::with_capacity(window),
             closed: Vec::new(),
@@ -172,7 +132,7 @@ impl<R: WindowRecord> WindowBuf<R> {
 
     pub(crate) fn feed(&mut self, chunk: &[Sample]) -> FeedReport {
         let mut gaps = 0;
-        // FillState is Copy: run a local copy so its emit closure can
+        // The fill is Copy: run a local copy so its emit closure can
         // borrow `self` for the window pushes, then store it back.
         let mut fill = self.fill;
         for &s in chunk {
@@ -205,7 +165,7 @@ impl<R: WindowRecord> WindowBuf<R> {
     /// closed-window history rather than copying it.
     pub(crate) fn into_compact(self) -> WindowCheckpoint<R> {
         WindowCheckpoint {
-            fill: self.fill.to_compact(),
+            fill: self.fill,
             open: self.open,
             closed: self.closed,
         }
@@ -231,17 +191,17 @@ impl<R: WindowRecord> WindowBuf<R> {
         let mut open = cp.open;
         open.reserve_exact(window - open.len());
         WindowBuf {
-            fill: FillState::from_compact(cp.fill),
+            fill: cp.fill,
             window,
             open,
             closed: cp.closed,
         }
     }
 
-    /// The `(window start, record)` sequence `WindowStats` projected
-    /// onto `R` would yield over the resolved prefix, plus that prefix's
-    /// length.
-    pub(crate) fn windows_and_len(&self) -> (Vec<(usize, R)>, usize) {
+    /// The records `WindowStats` projected onto `R` would yield over the
+    /// resolved prefix (window `i` starts at sample `i × window`), plus
+    /// that prefix's length.
+    pub(crate) fn windows_and_len(&self) -> (Vec<R>, usize) {
         let w = self.window;
         // An open leading-gap run resolves to `pending` pad values after
         // the open window, as batch fill would if the trace ended now.
@@ -255,10 +215,8 @@ impl<R: WindowRecord> WindowBuf<R> {
             &padded
         };
         let mut windows = Vec::with_capacity(self.closed.len() + tail.len().div_ceil(w));
-        windows.extend(self.closed.iter().enumerate().map(|(i, &s)| (i * w, s)));
-        for part in tail.chunks(w) {
-            windows.push((windows.len() * w, R::of(&Summary::of(part))));
-        }
+        windows.extend_from_slice(&self.closed);
+        windows.extend(tail.chunks(w).map(|part| R::of(&Summary::of(part))));
         (windows, self.closed.len() * w + tail.len())
     }
 }
@@ -278,14 +236,14 @@ mod tests {
                 .collect();
             let trace =
                 PowerTrace::new(Timestamp::ZERO, Resolution::ONE_MINUTE, values.clone()).unwrap();
-            let batch: Vec<(usize, Summary)> = WindowStats::new(&trace, 15).collect();
+            let batch: Vec<Summary> = WindowStats::new(&trace, 15).map(|(_, s)| s).collect();
             let mut buf = WindowBuf::<Summary>::new(None, 15);
             buf.feed(&dense_samples(&values));
             let (windows, n) = buf.windows_and_len();
             assert_eq!(n, len);
             assert_eq!(windows, batch, "len {len}");
-            // The starts are derived, not stored: a restored buffer must
-            // still place every window where `WindowStats` does.
+            // No start is stored: a restored buffer must still yield
+            // every window `WindowStats` does, in order.
             let restored = WindowBuf::from_compact(15, buf.clone().into_compact());
             assert_eq!(
                 restored.windows_and_len(),
@@ -304,9 +262,8 @@ mod tests {
         buf.feed(&[Sample::gap(); 9]);
         let (windows, n) = buf.windows_and_len();
         assert_eq!(n, 9);
-        let starts: Vec<usize> = windows.iter().map(|&(start, _)| start).collect();
-        assert_eq!(starts, vec![0, 4, 8]);
-        assert!(windows.iter().all(|&(_, s)| s == Summary::of(&[0.0])));
+        assert_eq!(windows.len(), 3);
+        assert!(windows.iter().all(|&s| s == Summary::of(&[0.0])));
     }
 
     #[test]

@@ -51,9 +51,9 @@ mod niom_stream;
 
 use timeseries::PipelineError;
 
-pub use chunk::{dense_samples, faulty_samples, Sample, StreamFill, StreamSpec};
+pub use chunk::{dense_samples, faulty_samples, FillCheckpoint, Sample, StreamFill, StreamSpec};
 pub use defense_stream::{BatteryStream, ChprStream, DefenseStream};
-pub use ingest::{FillCheckpoint, WindowCheckpoint};
+pub use ingest::WindowCheckpoint;
 pub use netsim_stream::{pair_accuracy, FingerprintStream, GatewayStream};
 pub use nilm_stream::{FhmmStream, PowerPlayStream};
 pub use niom_stream::{HmmStream, LogisticStream, NiomStream, ThresholdStream};

@@ -15,7 +15,7 @@ use nilm::{DeviceEstimate, Disaggregator, Fhmm, FhmmFilter, PowerPlay};
 use std::borrow::Cow;
 use timeseries::{PipelineError, PowerTrace};
 
-use crate::chunk::FillState;
+use crate::chunk::FillCheckpoint;
 
 /// Streaming FHMM disaggregation over a borrowed model.
 #[derive(Debug, Clone)]
@@ -29,7 +29,7 @@ pub struct FhmmStream<'a> {
 enum FhmmMode<'a> {
     /// Exact joint Viterbi advanced per sample.
     Exact {
-        fill: FillState,
+        fill: FillCheckpoint,
         filter: FhmmFilter<'a>,
     },
     /// ICM needs the whole trace: buffer and replay at finalize.
@@ -44,7 +44,7 @@ impl<'a> FhmmStream<'a> {
             spec,
             mode: match fhmm.filter() {
                 Some(filter) => FhmmMode::Exact {
-                    fill: FillState::new(None),
+                    fill: FillCheckpoint::new(None),
                     filter,
                 },
                 None => FhmmMode::Buffered(SampleBuf::new(None)),
@@ -62,7 +62,7 @@ impl<'a> FhmmStream<'a> {
         assert!(self.items() == 0, "set the fill policy before feeding");
         self.mode = match self.fhmm.filter() {
             Some(filter) => FhmmMode::Exact {
-                fill: FillState::new(Some(fill)),
+                fill: FillCheckpoint::new(Some(fill)),
                 filter,
             },
             None => FhmmMode::Buffered(SampleBuf::new(Some(fill))),

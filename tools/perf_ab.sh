@@ -12,9 +12,20 @@
 # Prints each run's pass count and failed-check count, then per
 # end-to-end metric of the change's BENCHMARK.json: each side's median
 # [q1-q3], the median and range of the per-pair change/parent ratio,
-# and how many pairs the change won (by the metric's "better"
-# direction; equal values are ties). Exits non-zero if a run fails or
-# reports a failed output check.
+# how many pairs the change won (by the metric's "better" direction;
+# equal values are ties), and a verdict against the metric's "bound",
+# the first that holds of:
+#
+#   worse       the change's median is worse than the parent's by more
+#               than the bound (relative to the parent's median);
+#   gain        the change won at least 9 in 10 pairs, and its median is
+#               better than the parent's by more than the parent's IQR;
+#   unresolved  the parent's IQR exceeds the bound (relative to its
+#               median), and not every change run beats every parent run;
+#   ok          otherwise.
+#
+# The verdicts do not change the exit status: it is non-zero only if a
+# run fails or reports a failed output check.
 set -euo pipefail
 
 usage="usage: tools/perf_ab.sh [--smoke] PARENT_DIR CHANGE_DIR WORKLOAD PAIRS SECONDS"
@@ -74,18 +85,21 @@ for pair in $(seq 1 "$pairs"); do
     fi
 done
 
-# "name better" for every end-to-end metric, in BENCHMARK.json order.
+# "name better bound" for every end-to-end metric, in BENCHMARK.json
+# order.
 awk '/"end_to_end"/ { on = 1 } /"per_layer"/ { on = 0 }
      on && /"name"/ {
          match($0, /"name": *"[^"]*"/); n = substr($0, RSTART, RLENGTH)
          match($0, /"better": *"[^"]*"/); b = substr($0, RSTART, RLENGTH)
-         gsub(/.*: *"|"/, "", n); gsub(/.*: *"|"/, "", b); print n, b
+         match($0, /"bound": *[0-9.eE+-]+/); d = substr($0, RSTART, RLENGTH)
+         gsub(/.*: *"|"/, "", n); gsub(/.*: *"|"/, "", b); sub(/.*: */, "", d)
+         print n, b, d
      }' "$change/BENCHMARK.json" >"$out/metrics"
 
 echo "== $workload: $pairs pairs of ${seconds} s runs${smoke:+ (smoke)}, RAYON_NUM_THREADS=1"
 echo "pair side   passes failed"
 awk '{ printf "%-4s %-6s %6s %6s\n", $1, $2, $3, $4 }' "$out/runs"
-awk 'NR == FNR { order[++n] = $1; better[$1] = $2; next }
+awk 'NR == FNR { order[++n] = $1; better[$1] = $2; bound[$1] = $3; next }
      { v[$3, $2, $1] = $4; seen[$3] = 1 }
      function sort(a, k,   i, j, t) {
          for (i = 2; i <= k; i++) {
@@ -102,9 +116,22 @@ awk 'NR == FNR { order[++n] = $1; better[$1] = $2; next }
      function spread(a, k, fmt) {
          return sprintf(fmt " [" fmt "-" fmt "]", q(a, k, 0.5), q(a, k, 0.25), q(a, k, 0.75))
      }
+     # The verdict on sorted parent runs a[1..k] and change runs b[1..k]
+     # with w wins, for a metric where higher (h) or lower is better and
+     # a relative bound d; see the header for the rules.
+     function verdict(a, b, k, w, h, d,   pm, cm, iqr, gap, rel, dominated) {
+         pm = q(a, k, 0.5); cm = q(b, k, 0.5); iqr = q(a, k, 0.75) - q(a, k, 0.25)
+         gap = h ? cm - pm : pm - cm
+         if (-gap > d * (pm < 0 ? -pm : pm)) return "worse"
+         if (10 * w >= 9 * k && gap > iqr) return "gain"
+         rel = pm == 0 ? (iqr > 0 ? d + 1 : 0) : iqr / (pm < 0 ? -pm : pm)
+         dominated = h ? b[1] > a[k] : b[k] < a[1]
+         if (rel > d && !dominated) return "unresolved"
+         return "ok"
+     }
      END {
-         printf "%-16s %-34s %-34s %-28s %s\n", "metric", "parent median [q1-q3]",
-                "change median [q1-q3]", "change/parent median [range]", "wins"
+         printf "%-16s %-34s %-34s %-28s %-14s %s\n", "metric", "parent median [q1-q3]",
+                "change median [q1-q3]", "change/parent median [range]", "wins", "verdict"
          for (m = 1; m <= n; m++) {
              name = order[m]
              if (!(name in seen)) continue
@@ -116,10 +143,11 @@ awk 'NR == FNR { order[++n] = $1; better[$1] = $2; next }
                  else if ((better[name] == "higher") == (b > a)) wins++
              }
              sort(par, k); sort(chg, k); sort(rat, k)
-             printf "%-16s %-34s %-34s %-28s %d/%d%s\n", name,
+             printf "%-16s %-34s %-34s %-28s %-14s %s\n", name,
                     spread(par, k, "%.4g"), spread(chg, k, "%.4g"),
                     sprintf("%.3f [%.3f-%.3f]", q(rat, k, 0.5), rat[1], rat[k]),
-                    wins, k, ties ? sprintf(" (%d ties)", ties) : ""
+                    wins "/" k (ties ? " (" ties " ties)" : ""),
+                    verdict(par, chg, k, wins, better[name] == "higher", bound[name])
          }
      }' "$out/metrics" "$out/values"
 
