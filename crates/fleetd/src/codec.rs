@@ -105,28 +105,26 @@ impl DecodeError {
             | DecodeError::TrailingBytes { offset, .. } => offset,
         }
     }
+
+    /// What went wrong, without the byte [`offset`](Self::offset) names:
+    /// for a record nested in another, whose caller reports the byte in
+    /// the outer record's coordinates.
+    pub(crate) fn what(&self) -> String {
+        match *self {
+            DecodeError::Truncated { .. } => "truncated".to_string(),
+            DecodeError::BadMagic => "magic mismatch".to_string(),
+            DecodeError::BadFillTag { tag, .. } => format!("unknown fill tag {tag}"),
+            DecodeError::CrcMismatch {
+                stored, computed, ..
+            } => format!("crc mismatch (stored {stored:#010x}, computed {computed:#010x})"),
+            DecodeError::TrailingBytes { trailing, .. } => format!("{trailing} trailing bytes"),
+        }
+    }
 }
 
 impl std::fmt::Display for DecodeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match *self {
-            DecodeError::Truncated { offset } => write!(f, "truncated at byte {offset}"),
-            DecodeError::BadMagic => write!(f, "magic mismatch at byte 0"),
-            DecodeError::BadFillTag { tag, offset } => {
-                write!(f, "unknown fill tag {tag} at byte {offset}")
-            }
-            DecodeError::CrcMismatch {
-                offset,
-                stored,
-                computed,
-            } => write!(
-                f,
-                "crc mismatch at byte {offset} (stored {stored:#010x}, computed {computed:#010x})"
-            ),
-            DecodeError::TrailingBytes { offset, trailing } => {
-                write!(f, "{trailing} trailing bytes at byte {offset}")
-            }
-        }
+        write!(f, "{} at byte {}", self.what(), self.offset())
     }
 }
 

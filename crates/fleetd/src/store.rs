@@ -637,7 +637,7 @@ pub fn validate_frame(
     let cp = codec::decode(frame.payload).map_err(|e| StoreError::Corrupt {
         home,
         offset: FRAME_OVERHEAD + e.offset(),
-        detail: format!("payload: {e}"),
+        detail: format!("payload: {}", e.what()),
     })?;
     if cp.open.len() >= window {
         return Err(StoreError::Corrupt {
@@ -1033,6 +1033,28 @@ mod tests {
                 trailing: 1
             })
         );
+    }
+
+    #[test]
+    fn a_corrupt_payload_names_one_frame_byte() {
+        // The payload loses its last 5 bytes, cutting its third open
+        // sample (payload byte 33), or its magic; either way the frame
+        // around it is intact.
+        let payload = payload();
+        assert_eq!(payload.len(), 45);
+        let mut bad_magic = payload.clone();
+        bad_magic[0] ^= 0xff;
+        for (payload, byte) in [(&payload[..40], 61), (&bad_magic[..], 28)] {
+            let frame = encode_frame(5, 9, payload);
+            let err = validate_frame(&frame, 5, 9, WINDOW).unwrap_err();
+            assert!(
+                matches!(err, StoreError::Corrupt { offset, .. } if offset == byte),
+                "{err:?}"
+            );
+            let shown = err.to_string();
+            assert_eq!(shown.matches("byte").count(), 1, "{shown}");
+            assert!(shown.contains(&format!("at byte {byte}:")), "{shown}");
+        }
     }
 
     #[test]

@@ -19,10 +19,14 @@
 //! for AVX-512F and AVX2 and picked once per [`Fhmm`] by runtime CPU
 //! detection, with the per-target scalar scan as the portable fallback
 //! and the test oracle. Every variant returns bit-identical scores and
-//! backpointers. Two swapped scratch rows replace per-step allocation,
-//! and backpointers are `u32`. The joint tables depend only on the
-//! models, so they are built once per [`Fhmm`] and shared by every
-//! subsequent decode.
+//! backpointers. The variant is dispatched once per run of observations
+//! (a whole trace, or one chunk of a stream), and two swapped scratch
+//! rows replace per-step allocation. Backpointers are `u16`, so a chain
+//! or joint space decodes exactly only up to 65,536 states. The joint
+//! tables depend only on the models, so they are built once per [`Fhmm`]
+//! and shared by every subsequent decode; they include each device's
+//! wattage per joint state, so estimates render straight from the joint
+//! path.
 //!
 //! Decoding reuses one private scratch per thread — score rows,
 //! backpointer table, and the ICM residual/explained buffers — grown on
@@ -65,10 +69,13 @@ impl Default for FhmmConfig {
 struct Scratch {
     delta: Vec<f64>,
     next: Vec<f64>,
-    back: Vec<u32>,
+    back: Vec<u16>,
     residual: Vec<f64>,
     explained: Vec<f64>,
 }
+
+/// Most states a Viterbi step can index: backpointers are `u16`.
+const MAX_STATES: usize = 1 << 16;
 
 thread_local! {
     /// The scratch every decode on this thread borrows.
@@ -101,13 +108,15 @@ impl Tables {
 }
 
 /// The exact decoder's joint product space, built once per [`Fhmm`]: its
-/// flat tables plus the digit table that unpacks a joint state into
-/// per-device states.
+/// flat tables, the digit table that unpacks a joint state into
+/// per-device states, and the wattage table estimates render from.
 #[derive(Debug, Clone)]
 struct Joint {
     tables: Tables,
     /// `digits[j * devices + d]` is device `d`'s state in joint state `j`.
     digits: Vec<usize>,
+    /// `watts[d * k + j]` is device `d`'s wattage in joint state `j`.
+    watts: Vec<f64>,
 }
 
 /// The factorial HMM over a set of learned device models.
@@ -135,9 +144,16 @@ impl Fhmm {
     ///
     /// # Panics
     ///
-    /// Panics if `devices` is empty or the noise std-dev is not positive.
+    /// Panics if `devices` is empty, any device has more than 65,536
+    /// states (ICM runs the Viterbi step over each device's chain, and
+    /// its `u16` backpointers index at most that many), or the noise
+    /// std-dev is not positive.
     pub fn with_config(devices: Vec<DeviceHmm>, config: FhmmConfig) -> Self {
         assert!(!devices.is_empty(), "FHMM needs at least one device");
+        assert!(
+            devices.iter().all(|d| d.n_states() <= MAX_STATES),
+            "a device chain holds at most {MAX_STATES} states"
+        );
         assert!(
             config.noise_sd_watts.is_finite() && config.noise_sd_watts > 0.0,
             "noise std-dev must be positive"
@@ -152,9 +168,11 @@ impl Fhmm {
         }
     }
 
-    /// The total joint state count.
+    /// The total joint state count, saturating at `usize::MAX`.
     pub fn joint_states(&self) -> usize {
-        self.devices.iter().map(|d| d.n_states()).product()
+        self.devices
+            .iter()
+            .fold(1, |k: usize, d| k.saturating_mul(d.n_states()))
     }
 
     fn inv_two_var(&self) -> f64 {
@@ -166,26 +184,32 @@ impl Fhmm {
         if meter.is_empty() {
             return vec![Vec::new(); self.devices.len()];
         }
+        if self.exact_capable() {
+            return self.unpack_paths(&self.decode_joint(meter.samples()));
+        }
         obs::counter_add("nilm.fhmm.samples", meter.len() as u64);
-        SCRATCH.with(|scratch| {
-            let scratch = &mut scratch.borrow_mut();
-            if self.exact_capable() {
-                obs::time("nilm.fhmm.decode_exact", || {
-                    let tables = &self.joint().tables;
-                    let joint = viterbi(
-                        self.isa,
-                        tables,
-                        meter.samples(),
-                        self.inv_two_var(),
-                        scratch,
-                    );
-                    self.unpack_paths(&joint)
-                })
-            } else {
-                obs::time("nilm.fhmm.decode_icm", || {
-                    self.decode_icm(meter.samples(), scratch)
-                })
-            }
+        obs::time("nilm.fhmm.decode_icm", || {
+            SCRATCH.with(|scratch| self.decode_icm(meter.samples(), &mut scratch.borrow_mut()))
+        })
+    }
+
+    /// Exact factorial Viterbi: the most likely joint state path for `xs`.
+    fn decode_joint(&self, xs: &[f64]) -> Vec<usize> {
+        if xs.is_empty() {
+            return Vec::new();
+        }
+        obs::counter_add("nilm.fhmm.samples", xs.len() as u64);
+        obs::time("nilm.fhmm.decode_exact", || {
+            let tables = &self.joint().tables;
+            SCRATCH.with(|scratch| {
+                viterbi(
+                    self.isa,
+                    tables,
+                    xs,
+                    self.inv_two_var(),
+                    &mut scratch.borrow_mut(),
+                )
+            })
         })
     }
 
@@ -204,6 +228,13 @@ impl Fhmm {
                 }
             }
             let factored: Vec<&[usize]> = digits.chunks(devices).collect();
+            let watts = (0..devices)
+                .flat_map(|d| {
+                    factored
+                        .iter()
+                        .map(move |states| self.devices[d].state_watts[states[d]])
+                })
+                .collect();
             let totals: Vec<f64> = factored
                 .iter()
                 .map(|states| {
@@ -245,6 +276,7 @@ impl Fhmm {
                     log_a,
                 },
                 digits,
+                watts,
             }
         })
     }
@@ -313,10 +345,38 @@ impl Fhmm {
             .collect()
     }
 
+    /// Renders a joint-state path into [`DeviceEstimate`]s: device `d`
+    /// reads its wattage in each sample's joint state off the joint
+    /// tables.
+    fn render(
+        &self,
+        start: Timestamp,
+        resolution: Resolution,
+        joint_path: &[usize],
+    ) -> Vec<DeviceEstimate> {
+        let joint = self.joint();
+        let k = joint.tables.k;
+        self.devices
+            .iter()
+            .enumerate()
+            .map(|(d, dev)| {
+                let watts = &joint.watts[d * k..(d + 1) * k];
+                DeviceEstimate {
+                    name: dev.name.clone(),
+                    trace: PowerTrace::from_fn(start, resolution, joint_path.len(), |t| {
+                        watts[joint_path[t]]
+                    }),
+                }
+            })
+            .collect()
+    }
+
     /// Whether this model decodes with exact factorial Viterbi (as opposed
-    /// to the ICM approximation, which needs the whole trace at once).
+    /// to the ICM approximation, which needs the whole trace at once):
+    /// its joint space has at most `max_exact_states` states, and at most
+    /// the 65,536 a `u16` backpointer can index.
     pub fn exact_capable(&self) -> bool {
-        self.joint_states() <= self.config.max_exact_states
+        self.joint_states() <= self.config.max_exact_states.min(MAX_STATES)
     }
 
     /// Number of device models in the factorial ensemble.
@@ -329,10 +389,12 @@ impl Fhmm {
     /// a whole-trace algorithm; callers must buffer and use
     /// [`Disaggregator::disaggregate`] instead).
     ///
-    /// Pushing every sample of a trace and then calling
-    /// [`FhmmFilter::paths`] reproduces the batch decode bit for bit: the
-    /// filter runs the same Viterbi step as the internal exact decoder,
-    /// merely spread across `push` calls.
+    /// Extending the filter by every sample of a trace, in chunks of any
+    /// length, and then calling [`FhmmFilter::paths`] or
+    /// [`FhmmFilter::estimates`] reproduces [`Fhmm::decode`] or
+    /// [`Disaggregator::disaggregate`] bit for bit: the filter runs the
+    /// same Viterbi steps as the internal exact decoder, merely spread
+    /// across `extend` calls.
     pub fn filter(&self) -> Option<FhmmFilter<'_>> {
         if !self.exact_capable() {
             return None;
@@ -345,31 +407,6 @@ impl Fhmm {
             back: Vec::new(),
             n: 0,
         })
-    }
-
-    /// Renders per-device state paths into [`DeviceEstimate`]s exactly as
-    /// [`Disaggregator::disaggregate`] does after decoding.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `paths` does not hold one path per device, or any path is
-    /// shorter than `len`.
-    pub fn estimates_from_paths(
-        &self,
-        start: Timestamp,
-        resolution: Resolution,
-        len: usize,
-        paths: &[Vec<usize>],
-    ) -> Vec<DeviceEstimate> {
-        assert_eq!(paths.len(), self.devices.len(), "one path per device");
-        self.devices
-            .iter()
-            .zip(paths)
-            .map(|(dev, path)| DeviceEstimate {
-                name: dev.name.clone(),
-                trace: PowerTrace::from_fn(start, resolution, len, |t| dev.state_watts[path[t]]),
-            })
-            .collect()
     }
 }
 
@@ -447,33 +484,55 @@ mod kernel {
         }
     }
 
-    /// One Viterbi step through the variant `isa` selects. For every target
-    /// `j`: `next[j] = max_i (delta[i] + log_a[i][j]) + emit(j, x)` and
+    /// One Viterbi step per observation of `xs`, through the variant
+    /// `isa` selects: the ISA is matched once, and the loop over `xs`
+    /// runs inside the selected variant. Step `t` turns the score row
+    /// `delta` into `next` and the backpointer row
+    /// `back[t * k..(t + 1) * k]`, then swaps the two rows, so `delta`
+    /// ends as the last observation's score row. For every target `j`:
+    /// `next[j] = max_i (delta[i] + log_a[i][j]) + emit(j, x)` and
     /// `back[j]` = the maximizing `i`, where a scan from `-inf` with
-    /// `arg = 0` takes a predecessor only on strict `>`, so the first maximum
-    /// wins. Every variant evaluates the same additions and comparisons in
-    /// the same order per target, so they agree bit for bit.
-    pub(super) fn step(
+    /// `arg = 0` takes a predecessor only on strict `>`, so the first
+    /// maximum wins. Every variant evaluates the same additions and
+    /// comparisons in the same order per target, so they agree bit for
+    /// bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `back` holds one `k`-wide row per observation and
+    /// both score rows are `k` wide.
+    pub(super) fn steps(
         isa: Isa,
         tables: &Tables,
-        delta: &[f64],
-        x: f64,
+        delta: &mut Vec<f64>,
+        next: &mut Vec<f64>,
+        xs: &[f64],
         inv_two_var: f64,
-        next: &mut [f64],
-        back: &mut [u32],
+        back: &mut [u16],
     ) {
+        let k = tables.k;
+        assert!(
+            back.len() == xs.len() * k && delta.len() == k && next.len() == k,
+            "one backpointer row per observation, k-wide score rows"
+        );
         match isa.0 {
-            Kind::Scalar => step_scalar(tables, delta, x, inv_two_var, next, back),
+            Kind::Scalar => {
+                for (t, &x) in xs.iter().enumerate() {
+                    let back_t = &mut back[t * k..(t + 1) * k];
+                    step_scalar(tables, delta, x, inv_two_var, next, back_t);
+                    std::mem::swap(delta, next);
+                }
+            }
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `Kind::Avx2` is only built in `Isa::detect` and
             // `Isa::supported`, right after `is_x86_feature_detected!("avx2")`
             // returned true.
-            Kind::Avx2 => unsafe { step_avx2(tables, delta, x, inv_two_var, next, back) },
+            Kind::Avx2 => unsafe { steps_avx2(tables, delta, next, xs, inv_two_var, back) },
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `Kind::Avx512` is only built in `Isa::detect` and
             // `Isa::supported`, right after
             // `is_x86_feature_detected!("avx512f")` returned true.
-            Kind::Avx512 => unsafe { step_avx512(tables, delta, x, inv_two_var, next, back) },
+            Kind::Avx512 => unsafe { steps_avx512(tables, delta, next, xs, inv_two_var, back) },
         }
     }
 
@@ -485,17 +544,18 @@ mod kernel {
         x: f64,
         inv_two_var: f64,
         next: &mut [f64],
-        back: &mut [u32],
+        back: &mut [u16],
     ) {
         let k = tables.k;
         for (j, (slot, ptr)) in next.iter_mut().zip(back.iter_mut()).enumerate() {
             let mut best = f64::NEG_INFINITY;
-            let mut arg = 0u32;
+            let mut arg = 0u16;
             for (i, &d) in delta.iter().enumerate() {
                 let v = d + tables.log_a[i * k + j];
                 if v > best {
                     best = v;
-                    arg = i as u32;
+                    // `k <= MAX_STATES`, so `i` fits.
+                    arg = i as u16;
                 }
             }
             let d = x - tables.totals[j];
@@ -504,40 +564,60 @@ mod kernel {
         }
     }
 
-    /// [`step_lanes`] compiled with AVX2.
+    /// [`steps_lanes`] compiled with AVX2.
     ///
     /// # Safety
     ///
     /// The caller must have checked `is_x86_feature_detected!("avx2")`.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    fn step_avx2(
+    fn steps_avx2(
         tables: &Tables,
-        delta: &[f64],
-        x: f64,
+        delta: &mut Vec<f64>,
+        next: &mut Vec<f64>,
+        xs: &[f64],
         inv_two_var: f64,
-        next: &mut [f64],
-        back: &mut [u32],
+        back: &mut [u16],
     ) {
-        step_lanes(tables, delta, x, inv_two_var, next, back);
+        steps_lanes(tables, delta, next, xs, inv_two_var, back);
     }
 
-    /// [`step_lanes`] compiled with AVX-512F.
+    /// [`steps_lanes`] compiled with AVX-512F.
     ///
     /// # Safety
     ///
     /// The caller must have checked `is_x86_feature_detected!("avx512f")`.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f")]
-    fn step_avx512(
+    fn steps_avx512(
         tables: &Tables,
-        delta: &[f64],
-        x: f64,
+        delta: &mut Vec<f64>,
+        next: &mut Vec<f64>,
+        xs: &[f64],
         inv_two_var: f64,
-        next: &mut [f64],
-        back: &mut [u32],
+        back: &mut [u16],
     ) {
-        step_lanes(tables, delta, x, inv_two_var, next, back);
+        steps_lanes(tables, delta, next, xs, inv_two_var, back);
+    }
+
+    /// [`step_lanes`] once per observation, swapping the score rows. The
+    /// loop lives here, not in [`steps`], so that it is compiled inside
+    /// each `#[target_feature]` variant with the step inlined into it.
+    #[inline(always)]
+    fn steps_lanes(
+        tables: &Tables,
+        delta: &mut Vec<f64>,
+        next: &mut Vec<f64>,
+        xs: &[f64],
+        inv_two_var: f64,
+        back: &mut [u16],
+    ) {
+        let k = tables.k;
+        for (t, &x) in xs.iter().enumerate() {
+            let back_t = &mut back[t * k..(t + 1) * k];
+            step_lanes(tables, delta, x, inv_two_var, next, back_t);
+            std::mem::swap(delta, next);
+        }
     }
 
     /// Targets per register tile of [`step_lanes`]: a tile's `best`/`arg`
@@ -547,8 +627,10 @@ mod kernel {
     /// The vectorizable step: predecessors `i` in ascending order, each
     /// folded into every target's `best`/`arg` lane at once by [`relax`].
     /// Targets go in register tiles of [`TILE`]; a ragged tail keeps its
-    /// lanes in `next`/`back` instead. Per target this is the scalar scan's
-    /// exact sequence of additions and strict-`>` comparisons.
+    /// scores in `next` and its `arg` lanes in a stack tile instead. The
+    /// `arg` lanes are `u32` and narrow to `u16` on store. Per target this
+    /// is the scalar scan's exact sequence of additions and strict-`>`
+    /// comparisons.
     #[inline(always)]
     fn step_lanes(
         tables: &Tables,
@@ -556,7 +638,7 @@ mod kernel {
         x: f64,
         inv_two_var: f64,
         next: &mut [f64],
-        back: &mut [u32],
+        back: &mut [u16],
     ) {
         let k = tables.k;
         let mut j0 = 0;
@@ -568,21 +650,32 @@ mod kernel {
                 relax(&mut best, &mut arg, d, row, i as u32);
             }
             next[j0..j0 + TILE].copy_from_slice(&best);
-            back[j0..j0 + TILE].copy_from_slice(&arg);
+            narrow(&mut back[j0..j0 + TILE], &arg);
             j0 += TILE;
         }
         if j0 < k {
-            let (best, arg) = (&mut next[j0..k], &mut back[j0..k]);
+            let best = &mut next[j0..k];
+            let mut tile = [0u32; TILE];
+            let arg = &mut tile[..k - j0];
             best.fill(f64::NEG_INFINITY);
-            arg.fill(0);
             for (i, &d) in delta.iter().enumerate() {
                 let row = &tables.log_a[i * k + j0..(i + 1) * k];
                 relax(best, arg, d, row, i as u32);
             }
+            narrow(&mut back[j0..k], arg);
         }
         for (slot, &total) in next.iter_mut().zip(&tables.totals) {
             let d = x - total;
             *slot += -d * d * inv_two_var;
+        }
+    }
+
+    /// Stores `u32` predecessor lanes as `u16` backpointers; every lane
+    /// holds a state index below `k <= MAX_STATES`, so none truncates.
+    #[inline(always)]
+    fn narrow(back: &mut [u16], arg: &[u32]) {
+        for (b, &a) in back.iter_mut().zip(arg) {
+            *b = a as u16;
         }
     }
 
@@ -600,7 +693,7 @@ mod kernel {
     }
 }
 
-use kernel::{step, Isa};
+use kernel::{steps, Isa};
 
 /// Last-max argmax over a score row — the semantics of
 /// `iter().enumerate().max_by(|a, b| a.1.total_cmp(b.1))` that the decoder
@@ -616,11 +709,11 @@ fn final_arg(delta: &[f64]) -> usize {
 
 /// Walks the backpointers of an `n`-step decode back from the final
 /// score row.
-fn backtrack(delta: &[f64], back: &[u32], k: usize, n: usize) -> Vec<usize> {
+fn backtrack(delta: &[f64], back: &[u16], k: usize, n: usize) -> Vec<usize> {
     let mut path = vec![0usize; n];
     path[n - 1] = final_arg(delta);
     for t in (0..n - 1).rev() {
-        path[t] = back[(t + 1) * k + path[t + 1]] as usize;
+        path[t] = usize::from(back[(t + 1) * k + path[t + 1]]);
     }
     path
 }
@@ -635,98 +728,114 @@ fn viterbi(
     scratch: &mut Scratch,
 ) -> Vec<usize> {
     let k = tables.k;
-    let n = xs.len();
-    if n == 0 {
+    let Some((&first, rest)) = xs.split_first() else {
         return Vec::new();
-    }
+    };
     let Scratch {
         delta, next, back, ..
     } = scratch;
-    init_row(tables, xs[0], inv_two_var, delta);
+    init_row(tables, first, inv_two_var, delta);
     next.clear();
     next.resize(k, f64::NEG_INFINITY);
     back.clear();
-    back.resize(n * k, 0);
-    for (t, &x) in xs.iter().enumerate().skip(1) {
-        let back_t = &mut back[t * k..(t + 1) * k];
-        step(isa, tables, delta, x, inv_two_var, next, back_t);
-        std::mem::swap(delta, next);
-    }
-    backtrack(delta, back, k, n)
+    back.resize(xs.len() * k, 0);
+    steps(isa, tables, delta, next, rest, inv_two_var, &mut back[k..]);
+    backtrack(delta, back, k, xs.len())
 }
 
 /// Incremental forward pass of the exact factorial Viterbi decoder: the
-/// same recurrence as the batch decoder, one observation per
-/// [`FhmmFilter::push`]. Constant non-output state (two `k`-wide scratch
-/// rows); the backpointer table grows one row per sample, exactly like the
-/// batch decoder's. Cloning the filter checkpoints the decode mid-trace.
+/// same recurrence as the batch decoder, one chunk of observations per
+/// [`FhmmFilter::extend`]. Constant non-output state (two `k`-wide scratch
+/// rows); the backpointer table grows one `u16` row per sample, exactly
+/// like the batch decoder's. Cloning the filter checkpoints the decode
+/// mid-trace.
 #[derive(Debug, Clone)]
 pub struct FhmmFilter<'a> {
     fhmm: &'a Fhmm,
     inv_two_var: f64,
     delta: Vec<f64>,
     next: Vec<f64>,
-    back: Vec<u32>,
+    back: Vec<u16>,
     n: usize,
 }
 
 impl FhmmFilter<'_> {
-    /// Advances the decode by one aggregate observation (watts).
-    pub fn push(&mut self, x: f64) {
+    /// Advances the decode by a chunk of aggregate observations (watts),
+    /// dispatching the Viterbi step once for the whole chunk. Any split
+    /// of a trace into chunks decodes identically.
+    pub fn extend(&mut self, xs: &[f64]) {
+        let Some((&first, rest)) = xs.split_first() else {
+            return;
+        };
         let tables = &self.fhmm.joint().tables;
-        let (k, n) = (tables.k, self.n);
+        let k = tables.k;
         // Row 0 of the backpointer table is never read; keep it zeroed to
         // mirror the batch decoder's layout.
-        self.back.resize((n + 1) * k, 0);
-        if n == 0 {
-            init_row(tables, x, self.inv_two_var, &mut self.delta);
+        self.back.resize((self.n + xs.len()) * k, 0);
+        let stepped = if self.n == 0 {
+            init_row(tables, first, self.inv_two_var, &mut self.delta);
             self.next.clear();
             self.next.resize(k, f64::NEG_INFINITY);
+            rest
         } else {
-            step(
-                self.fhmm.isa,
-                tables,
-                &self.delta,
-                x,
-                self.inv_two_var,
-                &mut self.next,
-                &mut self.back[n * k..],
-            );
-            std::mem::swap(&mut self.delta, &mut self.next);
-        }
-        self.n += 1;
+            xs
+        };
+        let rows = self.back.len() - stepped.len() * k;
+        steps(
+            self.fhmm.isa,
+            tables,
+            &mut self.delta,
+            &mut self.next,
+            stepped,
+            self.inv_two_var,
+            &mut self.back[rows..],
+        );
+        self.n += xs.len();
     }
 
-    /// Number of observations pushed so far.
+    /// Number of observations fed so far.
     pub fn len(&self) -> usize {
         self.n
     }
 
-    /// Whether no observation has been pushed yet.
+    /// Whether no observation has been fed yet.
     pub fn is_empty(&self) -> bool {
         self.n == 0
     }
 
     /// Heap bytes the filter owns (capacities, not lengths): the
-    /// backpointer table, which grows by `4 × k` bytes per sample, plus
+    /// backpointer table, which grows by `2 × k` bytes per sample, plus
     /// the two score rows.
     pub fn heap_bytes(&self) -> usize {
-        self.back.capacity() * std::mem::size_of::<u32>()
+        self.back.capacity() * std::mem::size_of::<u16>()
             + (self.delta.capacity() + self.next.capacity()) * std::mem::size_of::<f64>()
     }
 
+    /// Backtracks the decode so far into the joint state path.
+    fn joint_path(&self) -> Vec<usize> {
+        if self.n == 0 {
+            return Vec::new();
+        }
+        let k = self.fhmm.joint().tables.k;
+        backtrack(&self.delta, &self.back, k, self.n)
+    }
+
     /// Backtracks the decode so far into per-device state paths —
-    /// byte-identical to what the batch decoder returns for the same
+    /// byte-identical to what [`Fhmm::decode`] returns for the same
     /// observation prefix. Does not consume the filter; feeding may
     /// continue afterwards.
     pub fn paths(&self) -> Vec<Vec<usize>> {
-        let n = self.n;
-        if n == 0 {
-            return vec![Vec::new(); self.fhmm.devices.len()];
-        }
-        let k = self.fhmm.joint().tables.k;
-        let joint = backtrack(&self.delta, &self.back, k, n);
-        self.fhmm.unpack_paths(&joint)
+        self.fhmm.unpack_paths(&self.joint_path())
+    }
+
+    /// Renders the decode so far into per-device estimates whose traces
+    /// start at `start` — byte-identical to what
+    /// [`Disaggregator::disaggregate`] returns for the same observation
+    /// prefix. Backtracks once into the joint path and reads each
+    /// device's wattage per joint state off the joint tables. Does not
+    /// consume the filter.
+    pub fn estimates(&self, start: Timestamp, resolution: Resolution) -> Vec<DeviceEstimate> {
+        self.fhmm.render(start, resolution, &self.joint_path())
     }
 }
 
@@ -769,8 +878,20 @@ fn fill_residual(
 
 impl Disaggregator for Fhmm {
     fn disaggregate(&self, meter: &PowerTrace) -> Vec<DeviceEstimate> {
-        let paths = self.decode(meter);
-        self.estimates_from_paths(meter.start(), meter.resolution(), meter.len(), &paths)
+        let (start, resolution) = (meter.start(), meter.resolution());
+        if self.exact_capable() {
+            return self.render(start, resolution, &self.decode_joint(meter.samples()));
+        }
+        self.devices
+            .iter()
+            .zip(self.decode(meter))
+            .map(|(dev, path)| DeviceEstimate {
+                name: dev.name.clone(),
+                trace: PowerTrace::from_fn(start, resolution, path.len(), |t| {
+                    dev.state_watts[path[t]]
+                }),
+            })
+            .collect()
     }
 
     fn name(&self) -> &str {
@@ -1005,14 +1126,17 @@ mod tests {
         }
     }
 
-    /// Steps random models through the scalar oracle, the dispatched step
-    /// and every variant the host supports, demanding identical score
-    /// bits and backpointers at every step. Also checks that the inputs
-    /// did reach ties, `-inf` transitions and zero scores.
+    /// Steps random models through the scalar oracle, the dispatched
+    /// `steps` and every variant the host supports, one observation per
+    /// call, demanding identical score bits and backpointers at every
+    /// step; then runs each variant once over all the observations and
+    /// demands the oracle's rows again. Also checks that the inputs did
+    /// reach ties, `-inf` transitions and zero scores.
     #[test]
     fn step_variants_match_scalar_oracle_f64() {
         let inv_two_var = 0.5 / (40.0 * 40.0);
         let bits = |row: &[f64]| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let variants = || std::iter::once(Isa::detect()).chain(Isa::supported());
         let (mut ties, mut neg_inf, mut zeros) = (false, false, false);
         for k in [1usize, 2, 3, 7, 8, 9, 15, 16, 17, 31, 64] {
             for seed in 0..4u64 {
@@ -1030,22 +1154,24 @@ mod tests {
                 };
                 let mut delta = Vec::new();
                 init_row(&tables, draw(&mut rng), inv_two_var, &mut delta);
+                let first = delta.clone();
+                let (mut xs, mut want_backs) = (Vec::new(), Vec::new());
                 for t in 1..12 {
                     let x = draw(&mut rng);
                     let mut want = vec![f64::NEG_INFINITY; k];
-                    let mut want_back = vec![0u32; k];
+                    let mut want_back = vec![0u16; k];
                     kernel::step_scalar(&tables, &delta, x, inv_two_var, &mut want, &mut want_back);
-                    let dispatched = std::iter::once(Isa::detect());
-                    for isa in dispatched.chain(Isa::supported()) {
-                        let mut got = vec![f64::NEG_INFINITY; k];
-                        let mut got_back = vec![u32::MAX; k];
-                        step(
+                    for isa in variants() {
+                        let mut got = delta.clone();
+                        let mut next = vec![f64::NEG_INFINITY; k];
+                        let mut got_back = vec![u16::MAX; k];
+                        steps(
                             isa,
                             &tables,
-                            &delta,
-                            x,
-                            inv_two_var,
                             &mut got,
+                            &mut next,
+                            &[x],
+                            inv_two_var,
                             &mut got_back,
                         );
                         let ctx = format!("{isa:?} k={k} seed={seed} t={t}");
@@ -1053,7 +1179,26 @@ mod tests {
                         assert_eq!(got_back, want_back, "backpointers, {ctx}");
                     }
                     zeros |= want.contains(&0.0);
+                    xs.push(x);
+                    want_backs.extend(want_back);
                     delta = want;
+                }
+                for isa in variants() {
+                    let mut got = first.clone();
+                    let mut next = vec![f64::NEG_INFINITY; k];
+                    let mut got_backs = vec![u16::MAX; xs.len() * k];
+                    steps(
+                        isa,
+                        &tables,
+                        &mut got,
+                        &mut next,
+                        &xs,
+                        inv_two_var,
+                        &mut got_backs,
+                    );
+                    let ctx = format!("{isa:?} k={k} seed={seed}, {} steps", xs.len());
+                    assert_eq!(bits(&got), bits(&delta), "scores, {ctx}");
+                    assert_eq!(got_backs, want_backs, "backpointers, {ctx}");
                 }
             }
         }
@@ -1115,24 +1260,151 @@ mod tests {
 
     #[test]
     fn filter_and_its_checkpoint_reproduce_the_decode() {
-        // Chunked filter pushes must reproduce the batch decode, and so
+        // Chunked filter extends must reproduce the batch decode, and so
         // must a clone resumed mid-trace (the stream layer relies on both).
         let fhmm = two_device_fhmm(FhmmConfig::default());
         let meter = noisy_meter(7, 180).2;
         let decoded = fhmm.decode(&meter);
         let mut filter = fhmm.filter().unwrap();
-        let mut checkpoint = None;
-        for (t, &x) in meter.samples().iter().enumerate() {
-            filter.push(x);
-            if t == 90 {
-                checkpoint = Some(filter.clone());
+        filter.extend(&meter.samples()[..91]);
+        let mut restored = filter.clone();
+        filter.extend(&meter.samples()[91..]);
+        assert_eq!(filter.paths(), decoded);
+        restored.extend(&meter.samples()[91..]);
+        assert_eq!(restored.paths(), decoded, "resumed");
+    }
+
+    /// A device whose states draw `step` watts apiece, staying put with
+    /// probability 0.9 and otherwise moving to any other state alike.
+    fn ladder_device(name: &str, states: usize, step: f64) -> DeviceHmm {
+        let (stay, uniform) = (0.9f64.ln(), -(states as f64).ln());
+        let move_to = (0.1 / (states - 1).max(1) as f64).ln();
+        DeviceHmm {
+            name: name.to_string(),
+            state_watts: (0..states).map(|s| s as f64 * step).collect(),
+            log_trans: (0..states)
+                .map(|from| {
+                    (0..states)
+                        .map(|to| if to == from { stay } else { move_to })
+                        .collect()
+                })
+                .collect(),
+            log_init: vec![uniform; states],
+        }
+    }
+
+    /// The `pipeline` benchmark's model (four two-state appliances, 16
+    /// joint states) on one noisy day, and a 7 × 7 × 6 = 294-state model,
+    /// more than a `u8` backpointer can index, on a meter that walks its
+    /// devices through every state.
+    fn chunking_cases() -> [(Fhmm, PowerTrace); 2] {
+        let appliance = |name: &str, watts: f64, stay_off: f64, stay_on: f64| DeviceHmm {
+            name: name.to_string(),
+            state_watts: vec![0.0, watts],
+            log_trans: vec![
+                vec![stay_off.ln(), (1.0 - stay_off).ln()],
+                vec![(1.0 - stay_on).ln(), stay_on.ln()],
+            ],
+            log_init: vec![0.9f64.ln(), 0.1f64.ln()],
+        };
+        let pipeline = Fhmm::new(vec![
+            appliance("fridge", 150.0, 0.92, 0.88),
+            appliance("tv", 120.0, 0.96, 0.93),
+            appliance("heater", 1_000.0, 0.97, 0.94),
+            appliance("oven", 2_200.0, 0.995, 0.90),
+        ]);
+        let mut rng = seeded_rng(24);
+        let day = PowerTrace::from_fn(Timestamp::ZERO, Resolution::ONE_MINUTE, 1_440, |t| {
+            let on = |period: usize, len: usize| (t % period < len) as u8 as f64;
+            let watts = 150.0 * on(40, 15) + 120.0 * on(300, 90) + 1_000.0 * on(170, 30);
+            (watts + 2_200.0 * on(700, 45) + normal(&mut rng, 0.0, 30.0)).max(0.0)
+        });
+        let wide = Fhmm::new(vec![
+            ladder_device("small", 7, 45.0),
+            ladder_device("medium", 7, 330.0),
+            ladder_device("large", 6, 2_400.0),
+        ]);
+        let walk = PowerTrace::from_fn(Timestamp::ZERO, Resolution::ONE_MINUTE, 150, |t| {
+            let state = |period: usize, states: usize| ((t / period) % states) as f64;
+            45.0 * state(3, 7) + 330.0 * state(5, 7) + 2_400.0 * state(11, 6)
+        });
+        [(pipeline, day), (wide, walk)]
+    }
+
+    #[test]
+    fn filter_extends_reproduce_decode_and_disaggregate_at_every_chunking() {
+        for (fhmm, meter) in chunking_cases() {
+            let (k, n) = (fhmm.joint_states(), meter.len());
+            let decoded = fhmm.decode(&meter);
+            let estimates = fhmm.disaggregate(&meter);
+            // The joint renderer draws what the per-device paths name.
+            for ((est, path), dev) in estimates.iter().zip(&decoded).zip(&fhmm.devices) {
+                let want: Vec<f64> = path.iter().map(|&s| dev.state_watts[s]).collect();
+                assert_eq!(est.trace.samples(), &want[..], "k={k} {}", est.name);
+            }
+            if k > 256 {
+                // A backpointer names the previous sample's joint state;
+                // some must not fit a byte.
+                let joint = |t: usize| {
+                    decoded
+                        .iter()
+                        .zip(&fhmm.devices)
+                        .rev()
+                        .fold(0, |j, (path, dev)| j * dev.n_states() + path[t])
+                };
+                assert!((0..n - 1).any(|t| joint(t) > 255), "k={k}: no wide state");
+            }
+            for chunk in [1, 7, 63, 64, 65, n] {
+                let mut filter = fhmm.filter().unwrap();
+                for xs in meter.samples().chunks(chunk) {
+                    filter.extend(xs);
+                }
+                assert_eq!(filter.len(), n);
+                assert_eq!(filter.paths(), decoded, "k={k} chunk={chunk}");
+                assert_eq!(
+                    filter.estimates(meter.start(), meter.resolution()),
+                    estimates,
+                    "k={k} chunk={chunk}"
+                );
             }
         }
-        assert_eq!(filter.paths(), decoded);
-        let mut restored = checkpoint.unwrap();
-        for &x in &meter.samples()[91..] {
-            restored.push(x);
-        }
-        assert_eq!(restored.paths(), decoded, "resumed");
+    }
+
+    #[test]
+    fn a_joint_space_past_u16_decodes_by_icm_without_joint_tables() {
+        let binary = |d: usize| ladder_device(&format!("d{d}"), 2, 100.0 * (d + 1) as f64);
+        let wide = FhmmConfig {
+            max_exact_states: usize::MAX,
+            ..FhmmConfig::default()
+        };
+        let sixteen = Fhmm::with_config((0..16).map(binary).collect(), wide);
+        assert_eq!(sixteen.joint_states(), MAX_STATES);
+        assert!(sixteen.exact_capable());
+        let past_usize = Fhmm::with_config((0..64).map(binary).collect(), wide);
+        assert_eq!(past_usize.joint_states(), usize::MAX);
+        assert!(!past_usize.exact_capable());
+        let fhmm = Fhmm::with_config((0..17).map(binary).collect(), wide);
+        assert_eq!(fhmm.joint_states(), MAX_STATES * 2);
+        assert!(!fhmm.exact_capable());
+        assert!(fhmm.filter().is_none());
+        let meter = square_wave(12, 5, 300.0, 40);
+        let paths = fhmm.decode(&meter);
+        assert_eq!(paths.len(), 17);
+        assert!(paths.iter().all(|p| p.len() == meter.len()));
+        let estimates = fhmm.disaggregate(&meter);
+        assert!(estimates.iter().all(|e| e.trace.len() == meter.len()));
+        assert!(fhmm.joint.get().is_none(), "built the joint tables");
+    }
+
+    #[test]
+    #[should_panic(expected = "a device chain holds at most 65536 states")]
+    fn a_chain_past_u16_is_refused() {
+        let states = MAX_STATES + 1;
+        Fhmm::new(vec![DeviceHmm {
+            name: "wide".to_string(),
+            state_watts: vec![0.0; states],
+            log_trans: Vec::new(),
+            log_init: vec![0.0; states],
+        }]);
     }
 }

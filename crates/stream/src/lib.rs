@@ -27,7 +27,7 @@
 //!   records as they arrive ([`ThresholdStream`], [`HmmStream`],
 //!   [`LogisticStream`], each keeping only the fields its detector
 //!   reads); the exact-FHMM decoder advances its Viterbi forward pass
-//!   per sample ([`FhmmStream`] via [`nilm::FhmmFilter`]). Non-output
+//!   chunk by chunk ([`FhmmStream`] via [`nilm::FhmmFilter`]). Non-output
 //!   state is sublinear in the trace (one record per window; two
 //!   joint-width scratch rows).
 //! * **Buffer-and-replay** — globally coupled algorithms (PowerPlay's

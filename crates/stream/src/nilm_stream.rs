@@ -1,9 +1,11 @@
 //! Streaming NILM disaggregators.
 //!
 //! [`FhmmStream`] is genuinely incremental whenever the model decodes with
-//! exact factorial Viterbi: it advances a [`FhmmFilter`] one observation
-//! per sample (two joint-width scratch rows of non-output state) and
-//! backtracks at finalize. Models that fall back to ICM — and
+//! exact factorial Viterbi: it resolves each chunk into a fixed stack
+//! buffer, advances a [`FhmmFilter`] one buffer at a time (two
+//! joint-width scratch rows of non-output state) and backtracks at
+//! finalize, rendering estimates straight from the joint path. Models
+//! that fall back to ICM — and
 //! [`PowerPlayStream`], whose model-driven validation is global — buffer
 //! the resolved samples and replay the batch decoder at finalize; that is
 //! the only path that stays byte-identical.
@@ -17,6 +19,10 @@ use timeseries::{PipelineError, PowerTrace};
 
 use crate::chunk::FillCheckpoint;
 
+/// Resolved samples [`FhmmStream::feed`] collects on the stack before
+/// handing them to [`FhmmFilter::extend`] in one call.
+const FEED_BUF: usize = 64;
+
 /// Streaming FHMM disaggregation over a borrowed model.
 #[derive(Debug, Clone)]
 pub struct FhmmStream<'a> {
@@ -27,7 +33,7 @@ pub struct FhmmStream<'a> {
 
 #[derive(Debug, Clone)]
 enum FhmmMode<'a> {
-    /// Exact joint Viterbi advanced per sample.
+    /// Exact joint Viterbi advanced per chunk.
     Exact {
         fill: FillCheckpoint,
         filter: FhmmFilter<'a>,
@@ -85,12 +91,22 @@ impl StreamState for FhmmStream<'_> {
         match &mut self.mode {
             FhmmMode::Exact { fill, filter } => {
                 let mut gaps = 0;
+                let mut buf = [0.0; FEED_BUF];
+                let mut len = 0;
                 for &s in chunk {
                     if fill.is_gap(&s) {
                         gaps += 1;
                     }
-                    fill.push(s, &mut |v| filter.push(v));
+                    fill.push(s, &mut |v| {
+                        buf[len] = v;
+                        len += 1;
+                        if len == FEED_BUF {
+                            filter.extend(&buf);
+                            len = 0;
+                        }
+                    });
                 }
+                filter.extend(&buf[..len]);
                 record_power_chunk(chunk.len(), gaps);
                 FeedReport {
                     items: chunk.len(),
@@ -115,15 +131,10 @@ impl StreamState for FhmmStream<'_> {
                 // backpointer table is not copied otherwise.
                 let (pending, pad) = fill.flush();
                 let mut filter = Cow::Borrowed(filter);
-                for _ in 0..pending {
-                    filter.to_mut().push(pad);
+                if pending > 0 {
+                    filter.to_mut().extend(&vec![pad; pending]);
                 }
-                self.fhmm.estimates_from_paths(
-                    self.spec.start,
-                    self.spec.resolution,
-                    filter.len(),
-                    &filter.paths(),
-                )
+                filter.estimates(self.spec.start, self.spec.resolution)
             }
             FhmmMode::Buffered(buf) => {
                 let trace = PowerTrace::new(self.spec.start, self.spec.resolution, buf.resolved())
@@ -134,7 +145,7 @@ impl StreamState for FhmmStream<'_> {
     }
 
     /// Counts the heap the decode holds: every resolved sample in
-    /// `Buffered` (ICM) mode, the filter's backpointer table (`4 × k` bytes
+    /// `Buffered` (ICM) mode, the filter's backpointer table (`2 × k` bytes
     /// per sample) and score rows in `Exact` mode.
     fn state_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
@@ -233,8 +244,9 @@ impl StreamState for PowerPlayStream<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chunk::dense_samples;
+    use crate::chunk::{dense_samples, faulty_samples};
     use crate::feed_chunked;
+    use faults::{FaultyTrace, GapFill};
     use nilm::{train_device_hmm, FhmmConfig};
     use timeseries::{Resolution, Timestamp};
 
@@ -320,17 +332,73 @@ mod tests {
         );
         let exact = Fhmm::new(models);
         let k = exact.joint_states();
-        for (fhmm, per_sample) in [(&icm, 8), (&exact, 4 * k)] {
+        // Per sample: an f64 buffered for ICM, or a row of k u16
+        // backpointers. A `Vec` at most doubles what it holds, so each
+        // mode stays below twice its floor, which for the exact filter is
+        // what u32 backpointers would need.
+        for (fhmm, floor, ceiling) in [(&icm, 8, 16), (&exact, 2 * k, 4 * k)] {
             let mut s = FhmmStream::new(fhmm, StreamSpec::of_trace(&day));
             let empty = s.state_bytes();
             assert!(empty >= std::mem::size_of::<FhmmStream>());
             feed_chunked(&mut s, &samples, 60);
             let full = s.state_bytes();
             assert!(
-                full >= empty + 1_440 * per_sample,
+                full >= empty + 1_440 * floor && full < empty + 1_440 * ceiling,
                 "incremental {}: {empty} -> {full}",
                 s.incremental()
             );
         }
+    }
+
+    #[test]
+    fn held_gap_runs_across_buffers_and_chunks_match_batch_fill() {
+        let (models, meter) = two_device_setup();
+        let fhmm = Fhmm::new(models);
+        // A leading run of 100 gaps is withheld, then released as 101
+        // samples by the first valid reading: more than one stack buffer.
+        // A later run of 90 held gaps crosses chunk and buffer bounds.
+        let raw: Vec<f64> = (0..400)
+            .map(|t| match t {
+                0..100 | 150..240 => f64::NAN,
+                _ => meter.samples()[t],
+            })
+            .collect();
+        let all_gaps = vec![f64::NAN; 150];
+        for raw in [raw, all_gaps] {
+            let faulty = FaultyTrace::from_raw(meter.start(), meter.resolution(), raw);
+            let batch = fhmm.disaggregate(&faulty.fill(GapFill::Hold));
+            let samples = faulty_samples(&faulty);
+            for chunk_len in [1, 45, 64, 65, samples.len()] {
+                let mut s = FhmmStream::new(&fhmm, StreamSpec::of_faulty(&faulty))
+                    .with_fill(StreamFill::Hold);
+                feed_chunked(&mut s, &samples, chunk_len);
+                assert_eq!(s.items(), samples.len());
+                assert_eq!(s.finalize(), batch, "chunk_len {chunk_len}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_joint_space_past_u16_buffers_for_icm() {
+        let (models, meter) = two_device_setup();
+        let devices: Vec<_> = (0..17).map(|d| models[d % 2].clone()).collect();
+        let fhmm = Fhmm::with_config(
+            devices,
+            FhmmConfig {
+                max_exact_states: usize::MAX,
+                ..FhmmConfig::default()
+            },
+        );
+        assert!(!fhmm.exact_capable());
+        let short = PowerTrace::new(
+            meter.start(),
+            meter.resolution(),
+            meter.samples()[..30].to_vec(),
+        )
+        .unwrap();
+        let mut s = FhmmStream::new(&fhmm, StreamSpec::of_trace(&short));
+        assert!(!s.incremental());
+        feed_chunked(&mut s, &dense_samples(short.samples()), 7);
+        assert_eq!(s.finalize(), fhmm.disaggregate(&short));
     }
 }
