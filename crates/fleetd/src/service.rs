@@ -199,12 +199,12 @@ impl MemoryStats {
     }
 }
 
-/// Order-independent-free digest of every home's finalized occupancy
-/// series: homes are folded in index order, so two services that
-/// processed the same readings — at any thread count, with any eviction
-/// history — produce the same digest iff every home's output is
-/// byte-identical. Quarantined homes are excluded (and reduce
-/// [`FleetDigest::homes`]).
+/// Digest of every home's finalized occupancy series, folded in home
+/// index order. Two services that processed the same readings, at any
+/// thread count and with any eviction history, give equal digests when
+/// every home's output is byte-identical; a differing output changes the
+/// digest except on an FNV collision. Quarantined homes are excluded
+/// (and reduce [`FleetDigest::homes`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetDigest {
     /// Homes folded into the digest.
@@ -229,6 +229,72 @@ fn fnv_u64(mut h: u64, v: u64) -> u64 {
         h = fnv_byte(h, b);
     }
     h
+}
+
+/// `(p^n, C_n)` for a run of `n` one bytes: FNV-1a maps an even state
+/// `h` to `p^n·h + C_n` and an odd one to `p^n·h − C_n` (`p` is
+/// [`FNV_PRIME`]). A one byte XORs `h` to `h + 1` if `h` is even and
+/// `h − 1` if odd, and the odd prime keeps that sum's parity, so every
+/// one byte flips the state's parity and the sign alternates. Composed
+/// by doubling over `n`'s bits, from `C_{2m} = C_m·(p^m + (−1)^m)` and
+/// `C_{m+1} = p·(C_m + (−1)^m)`: O(log n) multiplications.
+fn one_run_map(n: usize) -> (u64, u64) {
+    let (mut pow, mut c, mut odd) = (1u64, 0u64, false);
+    for bit in (0..usize::BITS - n.leading_zeros()).rev() {
+        c = c.wrapping_mul(if odd {
+            pow.wrapping_sub(1)
+        } else {
+            pow.wrapping_add(1)
+        });
+        pow = pow.wrapping_mul(pow);
+        odd = n >> bit & 1 == 1;
+        if odd {
+            // The doubled length is even: the next byte adds.
+            c = FNV_PRIME.wrapping_mul(c.wrapping_add(1));
+            pow = pow.wrapping_mul(FNV_PRIME);
+        }
+    }
+    (pow, c)
+}
+
+/// FNV-1a over `n` copies of the label byte `label as u8`, from state
+/// `h`: one affine map instead of `n` byte steps. A run of zero bytes is
+/// `h·p^n`; a run of ones is [`one_run_map`]'s.
+fn fnv_run(h: u64, label: bool, n: usize) -> u64 {
+    let (pow, c) = one_run_map(n);
+    let scaled = h.wrapping_mul(pow);
+    match (label, h & 1 == 0) {
+        (false, _) => scaled,
+        (true, true) => scaled.wrapping_add(c),
+        (true, false) => scaled.wrapping_sub(c),
+    }
+}
+
+/// Length of the run of `label` that `labels` starts with, compared 16
+/// labels at a time.
+fn run_len(labels: &[bool], label: bool) -> usize {
+    const LANES: usize = 16;
+    let whole = LANES
+        * labels
+            .chunks_exact(LANES)
+            .take_while(|c| **c == [label; LANES])
+            .count();
+    let tail = &labels[whole..];
+    whole + tail.iter().position(|&b| b != label).unwrap_or(tail.len())
+}
+
+/// FNV-1a over `labels` as bytes (0 or 1) from state `h`, one
+/// [`fnv_run`] per run of equal labels, and the number of `true` labels.
+/// Equal to folding [`fnv_byte`] over every label.
+fn fnv_labels(mut h: u64, labels: &[bool]) -> (u64, u64) {
+    let (mut rest, mut positives) = (labels, 0);
+    while let Some(&label) = rest.first() {
+        let n = run_len(rest, label);
+        h = fnv_run(h, label, n);
+        positives += if label { n as u64 } else { 0 };
+        rest = &rest[n..];
+    }
+    (h, positives)
 }
 
 /// What [`FleetService::recover`] found in the durable store.
@@ -1002,14 +1068,8 @@ impl FleetService {
                     let series = shard.finalize(local, rounds, cfg).unwrap_or_else(|e| {
                         panic!("cold frame for home {home} unrecoverable ({e}); scrub first")
                     })?;
-                    let mut h = FNV_OFFSET;
-                    h = fnv_u64(h, home as u64);
-                    h = fnv_u64(h, series.len() as u64);
-                    for &b in series.labels() {
-                        h = fnv_byte(h, b as u8);
-                    }
-                    let positives = series.labels().iter().filter(|&&b| b).count() as u64;
-                    Some((h, positives))
+                    let h = fnv_u64(fnv_u64(FNV_OFFSET, home as u64), series.len() as u64);
+                    Some(fnv_labels(h, series.labels()))
                 })
                 .collect::<Vec<_>>()
         });
@@ -1088,6 +1148,57 @@ mod tests {
         );
         assert_eq!((svc.evictions(), svc.rehydrations()), (1_308, 872));
         assert_eq!(svc.digest().digest, 575_564_107_855_263_640);
+    }
+
+    /// The digest's definition: FNV-1a one label byte at a time.
+    fn byte_fold(h: u64, labels: &[bool]) -> u64 {
+        labels.iter().fold(h, |h, &b| fnv_byte(h, b as u8))
+    }
+
+    #[test]
+    fn run_fold_equals_byte_fold() {
+        // Even and odd states, the offset basis among them (odd).
+        let states = [
+            FNV_OFFSET,
+            FNV_OFFSET ^ 1,
+            0,
+            1,
+            u64::MAX,
+            0x9e37_79b9_7f4a_7c14,
+        ];
+        for h in states {
+            for n in 0..1_024 {
+                for label in [false, true] {
+                    let run = vec![label; n];
+                    assert_eq!(
+                        fnv_run(h, label, n),
+                        byte_fold(h, &run),
+                        "state {h:#x}, {n} x {label}"
+                    );
+                }
+            }
+        }
+        let alternating: Vec<bool> = (0..1_001).map(|i| i % 2 == 0).collect();
+        // Runs of 1, 2, ..., 45 samples, alternating labels.
+        let growing: Vec<bool> = (1..46).flat_map(|n| vec![n % 2 == 1; n]).collect();
+        let series = [
+            vec![],
+            vec![true; 1_000],
+            vec![false; 1_000],
+            alternating,
+            growing,
+        ];
+        for h in states {
+            for labels in &series {
+                let positives = labels.iter().filter(|&&b| b).count() as u64;
+                assert_eq!(
+                    fnv_labels(h, labels),
+                    (byte_fold(h, labels), positives),
+                    "state {h:#x}, {} labels",
+                    labels.len()
+                );
+            }
+        }
     }
 
     #[test]

@@ -29,10 +29,12 @@
 //! path.
 //!
 //! Decoding reuses one private scratch per thread — score rows,
-//! backpointer table, and the ICM residual/explained buffers — grown on
-//! demand and never shrunk, so repeated decodes on a thread (fleet
-//! workers, per-day figure loops, stream finalizes) stop allocating after
-//! the first.
+//! backpointer table, the backtracked `u16` state path, and the ICM
+//! residual/explained buffers — grown on demand and never shrunk, so
+//! repeated decodes on a thread (fleet workers, per-day figure loops,
+//! stream finalizes) stop allocating after the first. Estimates render
+//! straight from the scratch path, so the only fresh pages a render
+//! draws are its output traces.
 
 use crate::estimate::{DeviceEstimate, Disaggregator};
 use crate::train::DeviceHmm;
@@ -61,15 +63,16 @@ impl Default for FhmmConfig {
     }
 }
 
-/// Decode scratch: two swapped score rows, the backpointer table, and the
-/// ICM residual/explained buffers. Decoders size the buffers on entry and
-/// never shrink their capacity, so one scratch serves decodes of any state
-/// count and trace length.
+/// Decode scratch: two swapped score rows, the backpointer table, the
+/// last backtracked state path, and the ICM residual/explained buffers.
+/// Decoders size the buffers on entry and never shrink their capacity, so
+/// one scratch serves decodes of any state count and trace length.
 #[derive(Debug, Default)]
 struct Scratch {
     delta: Vec<f64>,
     next: Vec<f64>,
     back: Vec<u16>,
+    path: Vec<u16>,
     residual: Vec<f64>,
     explained: Vec<f64>,
 }
@@ -185,7 +188,7 @@ impl Fhmm {
             return vec![Vec::new(); self.devices.len()];
         }
         if self.exact_capable() {
-            return self.unpack_paths(&self.decode_joint(meter.samples()));
+            return self.with_joint_path(meter.samples(), |path| self.unpack_paths(path));
         }
         obs::counter_add("nilm.fhmm.samples", meter.len() as u64);
         obs::time("nilm.fhmm.decode_icm", || {
@@ -193,23 +196,21 @@ impl Fhmm {
         })
     }
 
-    /// Exact factorial Viterbi: the most likely joint state path for `xs`.
-    fn decode_joint(&self, xs: &[f64]) -> Vec<usize> {
+    /// Exact factorial Viterbi: decodes `xs` in the thread's scratch and
+    /// hands `f` the most likely joint state path, one `u16` per sample.
+    /// `f` runs while the scratch is borrowed, so it must not decode.
+    fn with_joint_path<R>(&self, xs: &[f64], f: impl FnOnce(&[u16]) -> R) -> R {
         if xs.is_empty() {
-            return Vec::new();
+            return f(&[]);
         }
         obs::counter_add("nilm.fhmm.samples", xs.len() as u64);
-        obs::time("nilm.fhmm.decode_exact", || {
-            let tables = &self.joint().tables;
-            SCRATCH.with(|scratch| {
-                viterbi(
-                    self.isa,
-                    tables,
-                    xs,
-                    self.inv_two_var(),
-                    &mut scratch.borrow_mut(),
-                )
-            })
+        let tables = &self.joint().tables;
+        SCRATCH.with(|scratch| {
+            let mut scratch = scratch.borrow_mut();
+            obs::time("nilm.fhmm.decode_exact", || {
+                viterbi(self.isa, tables, xs, self.inv_two_var(), &mut scratch);
+            });
+            f(&scratch.path)
         })
     }
 
@@ -313,7 +314,8 @@ impl Fhmm {
             for &d in &order {
                 let dev = &self.devices[d];
                 fill_residual(&mut residual, xs, &explained, &dev.state_watts, &paths[d]);
-                let new_path = viterbi(self.isa, &self.chains[d], &residual, inv_two_var, scratch);
+                viterbi(self.isa, &self.chains[d], &residual, inv_two_var, scratch);
+                let new_path: Vec<usize> = scratch.path.iter().map(|&s| usize::from(s)).collect();
                 if new_path != paths[d] {
                     changed = true;
                     for ((e, &new), &old) in explained.iter_mut().zip(&new_path).zip(&paths[d]) {
@@ -332,14 +334,14 @@ impl Fhmm {
     }
 
     /// Unpacks a joint-state path into per-device state paths.
-    fn unpack_paths(&self, joint_path: &[usize]) -> Vec<Vec<usize>> {
+    fn unpack_paths(&self, joint_path: &[u16]) -> Vec<Vec<usize>> {
         let digits = &self.joint().digits;
         let devices = self.devices.len();
         (0..devices)
             .map(|d| {
                 joint_path
                     .iter()
-                    .map(|&j| digits[j * devices + d])
+                    .map(|&j| digits[usize::from(j) * devices + d])
                     .collect()
             })
             .collect()
@@ -352,7 +354,7 @@ impl Fhmm {
         &self,
         start: Timestamp,
         resolution: Resolution,
-        joint_path: &[usize],
+        joint_path: &[u16],
     ) -> Vec<DeviceEstimate> {
         let joint = self.joint();
         let k = joint.tables.k;
@@ -364,7 +366,7 @@ impl Fhmm {
                 DeviceEstimate {
                     name: dev.name.clone(),
                     trace: PowerTrace::from_fn(start, resolution, joint_path.len(), |t| {
-                        watts[joint_path[t]]
+                        watts[usize::from(joint_path[t])]
                     }),
                 }
             })
@@ -707,40 +709,41 @@ fn final_arg(delta: &[f64]) -> usize {
         .unwrap_or(0)
 }
 
-/// Walks the backpointers of an `n`-step decode back from the final
-/// score row.
-fn backtrack(delta: &[f64], back: &[u16], k: usize, n: usize) -> Vec<usize> {
-    let mut path = vec![0usize; n];
-    path[n - 1] = final_arg(delta);
+/// Walks the backpointers of an `n`-step decode (`n > 0`) back from the
+/// final score row into `path`, one state per step. A state fits a `u16`
+/// because a backpointer does.
+fn backtrack(delta: &[f64], back: &[u16], k: usize, n: usize, path: &mut Vec<u16>) {
+    path.clear();
+    path.resize(n, 0);
+    path[n - 1] = final_arg(delta) as u16;
     for t in (0..n - 1).rev() {
-        path[t] = usize::from(back[(t + 1) * k + path[t + 1]]);
+        path[t] = back[(t + 1) * k + usize::from(path[t + 1])];
     }
-    path
 }
 
 /// Whole-trace Viterbi over any [`Tables`] (joint space or one device
-/// chain against a residual), in the thread's decode scratch.
-fn viterbi(
-    isa: Isa,
-    tables: &Tables,
-    xs: &[f64],
-    inv_two_var: f64,
-    scratch: &mut Scratch,
-) -> Vec<usize> {
+/// chain against a residual), in the thread's decode scratch: leaves the
+/// most likely state path in `scratch.path`.
+fn viterbi(isa: Isa, tables: &Tables, xs: &[f64], inv_two_var: f64, scratch: &mut Scratch) {
     let k = tables.k;
-    let Some((&first, rest)) = xs.split_first() else {
-        return Vec::new();
-    };
     let Scratch {
-        delta, next, back, ..
+        delta,
+        next,
+        back,
+        path,
+        ..
     } = scratch;
+    let Some((&first, rest)) = xs.split_first() else {
+        path.clear();
+        return;
+    };
     init_row(tables, first, inv_two_var, delta);
     next.clear();
     next.resize(k, f64::NEG_INFINITY);
     back.clear();
     back.resize(xs.len() * k, 0);
     steps(isa, tables, delta, next, rest, inv_two_var, &mut back[k..]);
-    backtrack(delta, back, k, xs.len())
+    backtrack(delta, back, k, xs.len(), path);
 }
 
 /// Incremental forward pass of the exact factorial Viterbi decoder: the
@@ -811,13 +814,18 @@ impl FhmmFilter<'_> {
             + (self.delta.capacity() + self.next.capacity()) * std::mem::size_of::<f64>()
     }
 
-    /// Backtracks the decode so far into the joint state path.
-    fn joint_path(&self) -> Vec<usize> {
+    /// Backtracks the decode so far into the thread's scratch and hands
+    /// `f` the joint state path. `f` must not decode.
+    fn with_joint_path<R>(&self, f: impl FnOnce(&[u16]) -> R) -> R {
         if self.n == 0 {
-            return Vec::new();
+            return f(&[]);
         }
         let k = self.fhmm.joint().tables.k;
-        backtrack(&self.delta, &self.back, k, self.n)
+        SCRATCH.with(|scratch| {
+            let mut scratch = scratch.borrow_mut();
+            backtrack(&self.delta, &self.back, k, self.n, &mut scratch.path);
+            f(&scratch.path)
+        })
     }
 
     /// Backtracks the decode so far into per-device state paths —
@@ -825,17 +833,17 @@ impl FhmmFilter<'_> {
     /// observation prefix. Does not consume the filter; feeding may
     /// continue afterwards.
     pub fn paths(&self) -> Vec<Vec<usize>> {
-        self.fhmm.unpack_paths(&self.joint_path())
+        self.with_joint_path(|path| self.fhmm.unpack_paths(path))
     }
 
     /// Renders the decode so far into per-device estimates whose traces
     /// start at `start` — byte-identical to what
     /// [`Disaggregator::disaggregate`] returns for the same observation
-    /// prefix. Backtracks once into the joint path and reads each
-    /// device's wattage per joint state off the joint tables. Does not
-    /// consume the filter.
+    /// prefix. Backtracks once into the thread's scratch path and reads
+    /// each device's wattage per joint state off the joint tables. Does
+    /// not consume the filter.
     pub fn estimates(&self, start: Timestamp, resolution: Resolution) -> Vec<DeviceEstimate> {
-        self.fhmm.render(start, resolution, &self.joint_path())
+        self.with_joint_path(|path| self.fhmm.render(start, resolution, path))
     }
 }
 
@@ -880,7 +888,8 @@ impl Disaggregator for Fhmm {
     fn disaggregate(&self, meter: &PowerTrace) -> Vec<DeviceEstimate> {
         let (start, resolution) = (meter.start(), meter.resolution());
         if self.exact_capable() {
-            return self.render(start, resolution, &self.decode_joint(meter.samples()));
+            let render = |path: &[u16]| self.render(start, resolution, path);
+            return self.with_joint_path(meter.samples(), render);
         }
         self.devices
             .iter()
@@ -1071,15 +1080,69 @@ mod tests {
         let fhmm = Fhmm::new(vec![device(2), device(3), device(2)]);
         let k = fhmm.joint_states();
         assert_eq!(k, 12);
-        let joint: Vec<usize> = (0..k).rev().collect();
+        let joint: Vec<u16> = (0..k as u16).rev().collect();
         let paths = fhmm.unpack_paths(&joint);
         for (t, &j) in joint.iter().enumerate() {
-            let mut rest = j;
+            let mut rest = usize::from(j);
             for (path, dev) in paths.iter().zip(&fhmm.devices) {
                 assert_eq!(path[t], rest % dev.n_states());
                 rest /= dev.n_states();
             }
         }
+    }
+
+    #[test]
+    fn exact_decode_is_the_most_likely_joint_path() {
+        // Backtracking is shared by the batch decoder and the filter, so
+        // their agreement cannot catch a wrong walk; every joint path,
+        // scored in the recurrence's own summation order, can.
+        let mut rng = seeded_rng(41);
+        let mut device = |name: &str, state_watts: Vec<f64>| {
+            let n = state_watts.len();
+            let mut log_p =
+                || -> Vec<f64> { (0..n).map(|_| -rng.gen_range(0.05f64..3.0)).collect() };
+            DeviceHmm {
+                name: name.into(),
+                log_init: log_p(),
+                log_trans: (0..n).map(|_| log_p()).collect(),
+                state_watts,
+            }
+        };
+        let a = device("a", vec![0.0, 130.0]);
+        let b = device("b", vec![0.0, 770.0, 1_250.0]);
+        let fhmm = Fhmm::new(vec![a, b]);
+        let (tables, inv_two_var) = (&fhmm.joint().tables, fhmm.inv_two_var());
+        let (k, n) = (tables.k, 6);
+        let meter = PowerTrace::from_fn(Timestamp::ZERO, Resolution::ONE_MINUTE, n, |t| {
+            [40.0, 900.0, 820.0, 150.0, 1_300.0, 1_370.0][t] + normal(&mut rng, 0.0, 60.0)
+        });
+        let emit = |j: usize, x: f64| -(x - tables.totals[j]).powi(2) * inv_two_var;
+        let mut best = (f64::NEG_INFINITY, Vec::new());
+        for code in 0..k.pow(n as u32) {
+            let path: Vec<u16> = (0..n as u32)
+                .map(|t| (code / k.pow(t) % k) as u16)
+                .collect();
+            let states = path.iter().map(|&j| usize::from(j));
+            let xs = meter.samples().iter();
+            let mut score = f64::NAN;
+            for (t, (j, &x)) in states.clone().zip(xs).enumerate() {
+                score = if t == 0 {
+                    tables.log_init[j] + emit(j, x)
+                } else {
+                    let from = usize::from(path[t - 1]);
+                    score + tables.log_a[from * k + j] + emit(j, x)
+                };
+            }
+            if score > best.0 {
+                best = (score, path);
+            }
+        }
+        let want = fhmm.unpack_paths(&best.1);
+        assert_ne!(want[1][n - 1], 0, "the last state must not be the default");
+        assert_eq!(fhmm.decode(&meter), want);
+        let mut filter = fhmm.filter().expect("6 joint states decode exactly");
+        filter.extend(meter.samples());
+        assert_eq!(filter.paths(), want);
     }
 
     #[test]

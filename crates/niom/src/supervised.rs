@@ -7,7 +7,7 @@
 //! the paper's Figure 3) can learn once and apply to every customer.
 
 use crate::detector::{OccupancyDetector, WindowedDetector};
-use crate::threshold::apply_night_prior;
+use crate::threshold::{apply_night_prior, order_statistic};
 use serde::{Deserialize, Serialize};
 use timeseries::{LabelSeries, PowerTrace, Resolution, Summary, Timestamp, WindowStats};
 
@@ -42,19 +42,21 @@ fn features(summary: &Summary, baseline: f64) -> [f64; N_FEATURES] {
 }
 
 fn baseline_watts(trace: &PowerTrace, window: usize) -> f64 {
-    let means: Vec<f64> = WindowStats::new(trace, window)
-        .map(|(_, s)| s.mean)
-        .collect();
-    baseline_from_window_means(&means)
+    baseline_of(
+        WindowStats::new(trace, window)
+            .map(|(_, s)| s.mean)
+            .collect(),
+    )
 }
 
-fn baseline_from_window_means(means_in_order: &[f64]) -> f64 {
-    if means_in_order.is_empty() {
+/// The window mean at rank `len / 10` (by `total_cmp`), 0 when there are
+/// none.
+fn baseline_of(mut means: Vec<f64>) -> f64 {
+    if means.is_empty() {
         return 0.0;
     }
-    let mut means = means_in_order.to_vec();
-    means.sort_by(|a, b| a.total_cmp(b));
-    means[means.len() / 10]
+    let rank = means.len() / 10;
+    order_statistic(&mut means, rank)
 }
 
 impl LogisticDetector {
@@ -159,8 +161,7 @@ impl WindowedDetector for LogisticDetector {
         len: usize,
         windows: &[Summary],
     ) -> LabelSeries {
-        let means: Vec<f64> = windows.iter().map(|s| s.mean).collect();
-        let baseline = baseline_from_window_means(&means);
+        let baseline = baseline_of(windows.iter().map(|s| s.mean).collect());
         let mut labels = vec![false; len];
         for (window, summary) in labels.chunks_mut(self.window).zip(windows) {
             let mut x = features(summary, baseline);
@@ -256,5 +257,29 @@ mod tests {
     #[should_panic(expected = "need training homes")]
     fn empty_training_rejected() {
         LogisticDetector::train(&[], 15);
+    }
+
+    #[test]
+    fn selected_baseline_equals_the_sorted_copy_at_every_length() {
+        assert_eq!(baseline_of(Vec::new()), 0.0);
+        // Ties and both zeros, which `total_cmp` orders -0 before +0;
+        // lengths 1..=100 put the `len / 10` rank on 0..=10.
+        let pool = [
+            0.0, -0.0, 120.0, -0.0, 7.5, 0.0, 120.0, -3.0, 0.0, 55.0, -0.0,
+        ];
+        for len in 1..=100 {
+            for shift in 0..pool.len() {
+                let means: Vec<f64> = (0..len)
+                    .map(|i| pool[(i * 7 + shift) % pool.len()])
+                    .collect();
+                let mut sorted = means.clone();
+                sorted.sort_by(|a, b| a.total_cmp(b));
+                assert_eq!(
+                    baseline_of(means).to_bits(),
+                    sorted[len / 10].to_bits(),
+                    "length {len}, shift {shift}"
+                );
+            }
+        }
     }
 }

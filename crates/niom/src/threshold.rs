@@ -1,7 +1,16 @@
 //! Threshold-based NIOM (Chen et al., BuildSys'13).
+//!
+//! Labels are laid down a block at a time: each window's flag fills its
+//! samples, and the night prior decides once per hour of samples and
+//! fills whole spans of night hours. A finalize over `len` samples in
+//! `w`-sample windows thus costs O(`len / w` + hours) decisions, plus
+//! the fills themselves; no step divides a timestamp per sample. The
+//! baseline is one order statistic, found by selection rather than by
+//! sorting the window means.
 
 use crate::detector::{OccupancyDetector, WindowRecord, WindowedDetector};
 use serde::{Deserialize, Serialize};
+use timeseries::time::SECS_PER_HOUR;
 use timeseries::{LabelSeries, PowerTrace, Resolution, Summary, Timestamp, WindowStats};
 
 /// What [`ThresholdDetector`] keeps of a window: its mean and population
@@ -104,13 +113,18 @@ impl ThresholdDetector {
     /// exposed so incremental callers that already hold window records
     /// reuse the exact batch arithmetic.
     pub fn baseline_from_window_means(&self, means_in_order: &[f64]) -> f64 {
-        if means_in_order.is_empty() {
+        self.baseline_of(&mut means_in_order.to_vec())
+    }
+
+    /// [`baseline_from_window_means`](Self::baseline_from_window_means)
+    /// selecting in place, so `means` is left reordered.
+    fn baseline_of(&self, means: &mut [f64]) -> f64 {
+        if means.is_empty() {
             return 0.0;
         }
-        let mut means = means_in_order.to_vec();
-        means.sort_by(|a, b| a.total_cmp(b));
-        let rank = (self.baseline_percentile / 100.0 * (means.len() - 1) as f64).round() as usize;
-        means[rank.min(means.len() - 1)]
+        let n = means.len();
+        let rank = (self.baseline_percentile / 100.0 * (n - 1) as f64).round() as usize;
+        order_statistic(means, rank.min(n - 1))
     }
 
     fn classify_window(&self, record: &MeanVariance, baseline: f64) -> bool {
@@ -133,8 +147,8 @@ impl WindowedDetector for ThresholdDetector {
         len: usize,
         windows: &[MeanVariance],
     ) -> LabelSeries {
-        let means: Vec<f64> = windows.iter().map(|r| r.mean).collect();
-        let baseline = self.baseline_from_window_means(&means);
+        let mut means: Vec<f64> = windows.iter().map(|r| r.mean).collect();
+        let baseline = self.baseline_of(&mut means);
         let flags: Vec<bool> = windows
             .iter()
             .map(|r| self.classify_window(r, baseline))
@@ -165,10 +179,34 @@ impl OccupancyDetector for ThresholdDetector {
     }
 }
 
+/// The value at `rank` of `values` sorted by [`f64::total_cmp`], found by
+/// selection; `values` is left partly reordered. Equal under `total_cmp`
+/// means equal bits, so this is bit for bit the sorted copy's element.
+///
+/// # Panics
+///
+/// Panics if `rank >= values.len()`.
+pub(crate) fn order_statistic(values: &mut [f64], rank: usize) -> f64 {
+    *values.select_nth_unstable_by(rank, f64::total_cmp).1
+}
+
+/// Whether `hour` falls in the wrapping interval `[from, to)`; empty when
+/// `from == to`.
+fn in_night(hour: u8, from: u8, to: u8) -> bool {
+    if from <= to {
+        (from..to).contains(&hour)
+    } else {
+        hour >= from || hour < to
+    }
+}
+
 /// Marks every sample whose hour of day falls in the wrapping interval
 /// `[from, to)` as occupied. Sample `i` sits at `start + i * resolution`,
 /// matching `PowerTrace::timestamp` — callers only need the grid, not the
-/// trace itself.
+/// trace itself. The samples of one hour share its hour of day, so the
+/// prior is decided once per hour, never per sample, and each span of
+/// hours it treats alike (at most a day) costs one timestamp division
+/// and, at night, one fill.
 pub(crate) fn apply_night_prior(
     labels: &mut [bool],
     start: Timestamp,
@@ -176,17 +214,25 @@ pub(crate) fn apply_night_prior(
     from: u8,
     to: u8,
 ) {
-    for (i, slot) in labels.iter_mut().enumerate() {
-        let at = start + i as u64 * resolution.as_secs() as u64;
-        let hour = at.hour_of_day() as u8;
-        let in_night = if from <= to {
-            (from..to).contains(&hour)
-        } else {
-            hour >= from || hour < to
-        };
-        if in_night {
-            *slot = true;
+    let res = u64::from(resolution.as_secs());
+    let mut i = 0;
+    while i < labels.len() {
+        let at = start + i as u64 * res;
+        let night = in_night(at.hour_of_day() as u8, from, to);
+        // Hours since the epoch: `at`'s, then the ones the prior treats
+        // alike, up to a day.
+        let first = at.as_secs() / SECS_PER_HOUR;
+        let mut next = first + 1;
+        while next < first + 24 && in_night((next % 24) as u8, from, to) == night {
+            next += 1;
         }
+        // First sample index at or past the span's end.
+        let end = (next * SECS_PER_HOUR - start.as_secs()).div_ceil(res) as usize;
+        let end = end.min(labels.len());
+        if night {
+            labels[i..end].fill(true);
+        }
+        i = end;
     }
 }
 
@@ -217,6 +263,7 @@ fn smooth_bool_runs(flags: &[bool], min_run: usize) -> Vec<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use timeseries::{Resolution, Timestamp};
 
     /// A synthetic day: background 100 W with fridge-ish wiggle; occupied
@@ -311,5 +358,127 @@ mod tests {
     #[test]
     fn detector_name() {
         assert_eq!(ThresholdDetector::default().name(), "niom-threshold");
+    }
+
+    /// The night prior's definition: each sample's own hour of day.
+    fn night_prior_per_sample(
+        labels: &mut [bool],
+        start: Timestamp,
+        resolution: Resolution,
+        from: u8,
+        to: u8,
+    ) {
+        for (i, slot) in labels.iter_mut().enumerate() {
+            let at = start + i as u64 * resolution.as_secs() as u64;
+            let hour = at.hour_of_day() as u8;
+            let in_night = if from <= to {
+                (from..to).contains(&hour)
+            } else {
+                hour >= from || hour < to
+            };
+            if in_night {
+                *slot = true;
+            }
+        }
+    }
+
+    /// Sleep intervals that wrap midnight, are empty, or hold one hour.
+    const PRIORS: [(u8, u8); 4] = [(22, 7), (0, 0), (5, 5), (23, 0)];
+    /// Coarser and finer than the hour, and not dividing it (420 s).
+    const RESOLUTIONS: [u32; 5] = [60, 420, 900, 3_600, 7_200];
+
+    /// The span-wise prior equals the per-sample one on `labels` at
+    /// every resolution and prior above.
+    fn check_night_prior(labels: &[bool], start: Timestamp) {
+        for secs in RESOLUTIONS {
+            let resolution = Resolution::from_secs(secs);
+            for (from, to) in PRIORS {
+                let mut by_span = labels.to_vec();
+                apply_night_prior(&mut by_span, start, resolution, from, to);
+                let mut by_sample = labels.to_vec();
+                night_prior_per_sample(&mut by_sample, start, resolution, from, to);
+                assert_eq!(
+                    by_span,
+                    by_sample,
+                    "start {start:?}, {secs} s, ({from}, {to}), {} samples",
+                    labels.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn night_prior_by_spans_at_hour_edges() {
+        for start in [0, 1, 3_599, 3_600, 22 * 3_600 - 1, 86_399, 86_400 + 1_800] {
+            for len in [0, 1, 2, 59, 60, 61, 1_440, 4_999] {
+                check_night_prior(&vec![false; len], Timestamp::from_secs(start));
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+        #[test]
+        fn night_prior_by_spans_equals_per_sample(
+            hour in 0u64..24 * 7,
+            // On the hour half the time, anywhere inside it otherwise.
+            offset in prop_oneof![Just(0u64), 1u64..3_600],
+            // Labels already set must stay set.
+            labels in prop::collection::vec(any::<bool>(), 0..5_000),
+        ) {
+            check_night_prior(&labels, Timestamp::from_secs(hour * 3_600 + offset));
+        }
+    }
+
+    /// The baseline's former definition: the configured rank of a sorted
+    /// copy of the window means.
+    fn sorted_copy_baseline(means: &[f64], percentile: f64) -> f64 {
+        if means.is_empty() {
+            return 0.0;
+        }
+        let mut sorted = means.to_vec();
+        sorted.sort_by(|a, b| a.total_cmp(b));
+        let rank = (percentile / 100.0 * (sorted.len() - 1) as f64).round() as usize;
+        sorted[rank.min(sorted.len() - 1)]
+    }
+
+    /// Window means with ties and both zeros, which `total_cmp` orders
+    /// -0 before +0.
+    fn tied_means() -> impl Strategy<Value = Vec<f64>> {
+        let mean = prop_oneof![
+            Just(0.0f64),
+            Just(-0.0f64),
+            Just(120.0f64),
+            Just(-3.5f64),
+            -50.0f64..500.0,
+        ];
+        prop::collection::vec(mean, 0..64)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        #[test]
+        fn selected_baseline_equals_the_sorted_copy_at_every_rank(means in tied_means()) {
+            let mut sorted = means.clone();
+            sorted.sort_by(|a, b| a.total_cmp(b));
+            for (rank, want) in sorted.iter().enumerate() {
+                let got = order_statistic(&mut means.clone(), rank);
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "rank {}", rank);
+            }
+            let n = means.len().max(2);
+            let percentiles = (0..n).map(|r| r as f64 * 100.0 / (n - 1) as f64);
+            for percentile in percentiles.chain([-10.0, 12.5, 250.0]) {
+                let detector = ThresholdDetector {
+                    baseline_percentile: percentile,
+                    ..ThresholdDetector::default()
+                };
+                prop_assert_eq!(
+                    detector.baseline_from_window_means(&means).to_bits(),
+                    sorted_copy_baseline(&means, percentile).to_bits(),
+                    "percentile {}",
+                    percentile
+                );
+            }
+        }
     }
 }

@@ -13,8 +13,12 @@
 # end-to-end metric of the change's BENCHMARK.json: each side's median
 # [q1-q3], the median and range of the per-pair change/parent ratio,
 # how many pairs the change won (by the metric's "better" direction;
-# equal values are ties), and a verdict against the metric's "bound",
-# the first that holds of:
+# equal values are ties), and a verdict against the metric's "bound".
+# The peak_rss_mb row also shows each side's median pass count and the
+# median per-pair change/parent pass ratio: perfbench keeps trace
+# records per pass, so a change that fits more passes into SECONDS
+# reads a higher peak RSS for that alone. The verdict is the first that
+# holds of:
 #
 #   worse       the change's median is worse than the parent's by more
 #               than the bound (relative to the parent's median);
@@ -99,7 +103,8 @@ awk '/"end_to_end"/ { on = 1 } /"per_layer"/ { on = 0 }
 echo "== $workload: $pairs pairs of ${seconds} s runs${smoke:+ (smoke)}, RAYON_NUM_THREADS=1"
 echo "pair side   passes failed"
 awk '{ printf "%-4s %-6s %6s %6s\n", $1, $2, $3, $4 }' "$out/runs"
-awk 'NR == FNR { order[++n] = $1; better[$1] = $2; bound[$1] = $3; next }
+awk -v runs="$out/runs" -v pairs="$pairs" '
+     NR == FNR { order[++n] = $1; better[$1] = $2; bound[$1] = $3; next }
      { v[$3, $2, $1] = $4; seen[$3] = 1 }
      function sort(a, k,   i, j, t) {
          for (i = 2; i <= k; i++) {
@@ -130,6 +135,22 @@ awk 'NR == FNR { order[++n] = $1; better[$1] = $2; bound[$1] = $3; next }
          return "ok"
      }
      END {
+         # Pass counts, from the "pair side passes failed" lines of runs.
+         while ((getline line < runs) > 0) {
+             split(line, f, " ")
+             if (f[3] ~ /^[0-9]+$/) done[f[2], f[1]] = f[3]
+         }
+         k = 0
+         for (p = 1; p <= pairs; p++) {
+             if (!(("parent", p) in done) || !(("change", p) in done)) continue
+             k++; pp[k] = done["parent", p]; pc[k] = done["change", p]
+             pr[k] = pp[k] == 0 ? 0 : pc[k] / pp[k]
+         }
+         if (k) {
+             sort(pp, k); sort(pc, k); sort(pr, k)
+             note = sprintf("passes %g -> %g, change/parent %.3f", q(pp, k, 0.5), q(pc, k, 0.5),
+                            q(pr, k, 0.5))
+         }
          printf "%-16s %-34s %-34s %-28s %-14s %s\n", "metric", "parent median [q1-q3]",
                 "change median [q1-q3]", "change/parent median [range]", "wins", "verdict"
          for (m = 1; m <= n; m++) {
@@ -143,11 +164,12 @@ awk 'NR == FNR { order[++n] = $1; better[$1] = $2; bound[$1] = $3; next }
                  else if ((better[name] == "higher") == (b > a)) wins++
              }
              sort(par, k); sort(chg, k); sort(rat, k)
-             printf "%-16s %-34s %-34s %-28s %-14s %s\n", name,
+             printf "%-16s %-34s %-34s %-28s %-14s %s%s\n", name,
                     spread(par, k, "%.4g"), spread(chg, k, "%.4g"),
                     sprintf("%.3f [%.3f-%.3f]", q(rat, k, 0.5), rat[1], rat[k]),
                     wins "/" k (ties ? " (" ties " ties)" : ""),
-                    verdict(par, chg, k, wins, better[name] == "higher", bound[name])
+                    verdict(par, chg, k, wins, better[name] == "higher", bound[name]),
+                    name == "peak_rss_mb" && note != "" ? "  (" note ")" : ""
          }
      }' "$out/metrics" "$out/values"
 
