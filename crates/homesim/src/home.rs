@@ -4,9 +4,7 @@
 use crate::activity::ActivityModel;
 use crate::meter::SmartMeter;
 use crate::occupancy::{OccupancyModel, Persona};
-use loads::{
-    render_activations, render_always_on, Activation, Appliance, ApplianceCategory, Catalogue,
-};
+use loads::{render_activations, Activation, Appliance, ApplianceCategory, Catalogue};
 use rand::Rng;
 use timeseries::rng::{derive_seed, seeded_rng};
 use timeseries::{LabelSeries, PowerTrace, Resolution, Timestamp};
@@ -229,7 +227,10 @@ impl Home {
 /// Renders a background device always-on. Cyclical loads get a random
 /// initial phase and per-cycle duration jitter (±15 %), the way real
 /// thermostat-driven compressors respond to door openings and ambient
-/// temperature; other background models render as-is.
+/// temperature; other background models read no randomness and render
+/// as-is, through the appliance's memo
+/// ([`Appliance::render_always_on`]), so clones of one catalogue render
+/// each such device once per resolution.
 fn render_background(
     appliance: &Appliance,
     start: Timestamp,
@@ -237,7 +238,6 @@ fn render_background(
     len: usize,
     mut uniform: impl FnMut() -> f64,
 ) -> PowerTrace {
-    let model = appliance.model().clone();
     if let (Some(period), Some(duty)) = (
         appliance.signature().cycle_period_secs,
         appliance.signature().cycle_duty,
@@ -265,7 +265,7 @@ fn render_background(
         }
         return render_activations(&element, &activations, start, resolution, len);
     }
-    render_always_on(model.as_ref(), start, resolution, len)
+    appliance.render_always_on(start, resolution, len)
 }
 
 #[cfg(test)]

@@ -13,8 +13,10 @@ use crate::model::LoadModel;
 use crate::nonlinear::NonLinearLoad;
 use crate::resistive::ResistiveLoad;
 use crate::signature::LoadSignature;
+use crate::synth::render_always_on;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
+use timeseries::{PowerTrace, Resolution, Timestamp};
 
 /// Whether a device is driven by occupants or runs regardless of occupancy.
 ///
@@ -74,15 +76,39 @@ impl UsagePrior {
     }
 }
 
+/// Always-on renders per resolution: the samples of the longest horizon
+/// rendered so far.
+type AlwaysOnMemo = Mutex<Vec<(Resolution, Arc<[f64]>)>>;
+
 /// One appliance: its electrical model, behaviour category, usage prior,
 /// and the a-priori signature PowerPlay tracks it with.
-#[derive(Debug, Clone)]
+///
+/// An appliance also memoises its always-on renders
+/// ([`Appliance::render_always_on`]) in a memo its clones share: per
+/// resolution, the samples of the longest horizon rendered so far. The
+/// memo therefore never holds more than one device trace per resolution,
+/// as long as the longest horizon asked for at it. It is left out of
+/// `Debug`.
+#[derive(Clone)]
 pub struct Appliance {
     name: String,
     category: ApplianceCategory,
     model: Arc<dyn LoadModel>,
     usage: Option<UsagePrior>,
     signature: LoadSignature,
+    always_on: Arc<AlwaysOnMemo>,
+}
+
+impl std::fmt::Debug for Appliance {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Appliance")
+            .field("name", &self.name)
+            .field("category", &self.category)
+            .field("model", &self.model)
+            .field("usage", &self.usage)
+            .field("signature", &self.signature)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Appliance {
@@ -111,6 +137,7 @@ impl Appliance {
             model,
             usage,
             signature,
+            always_on: Arc::default(),
         }
     }
 
@@ -137,6 +164,45 @@ impl Appliance {
     /// The a-priori tracking signature.
     pub fn signature(&self) -> &LoadSignature {
         &self.signature
+    }
+
+    /// Renders the model switched on at `start` and left on for `len`
+    /// samples: bit for bit [`render_always_on`] of [`Appliance::model`].
+    ///
+    /// Sample `i` covers seconds `[i·res, (i+1)·res)` after switch-on
+    /// whatever `start` is, so it depends only on the resolution. A
+    /// horizon no longer than the memo's render at `resolution` is a
+    /// prefix copy of it; a longer one renders outside the memo's lock
+    /// and replaces it.
+    pub fn render_always_on(
+        &self,
+        start: Timestamp,
+        resolution: Resolution,
+        len: usize,
+    ) -> PowerTrace {
+        // Every update replaces or pushes a whole entry, so a memo whose
+        // lock a panicking thread poisoned still holds only full renders.
+        let memo = || {
+            self.always_on
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+        };
+        let kept = memo()
+            .iter()
+            .find(|(r, samples)| *r == resolution && samples.len() >= len)
+            .map(|(_, samples)| Arc::clone(samples));
+        if let Some(samples) = kept {
+            return PowerTrace::new(start, resolution, samples[..len].to_vec())
+                .expect("the memo holds a rendered trace");
+        }
+        let trace = render_always_on(self.model.as_ref(), start, resolution, len);
+        let mut memo = memo();
+        match memo.iter_mut().find(|(r, _)| *r == resolution) {
+            Some((_, samples)) if samples.len() >= len => {}
+            Some((_, samples)) => *samples = trace.samples().into(),
+            None => memo.push((resolution, trace.samples().into())),
+        }
+        trace
     }
 
     // ---- canonical devices -------------------------------------------------

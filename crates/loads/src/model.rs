@@ -54,6 +54,14 @@ pub trait LoadModel: Send + Sync + std::fmt::Debug {
     /// Average draw over one sampling interval `[from, to)` seconds after
     /// switch-on, by midpoint sub-sampling at 1 Hz (adequate because model
     /// transients are ≥ seconds long).
+    ///
+    /// For whole-second bounds the midpoints lie on the `n + 0.5` grid:
+    /// the result is the mean of `power_at(n + 0.5)` for `n` in
+    /// `from..to`, summed left to right from `0.0`.
+    /// [`render_activations`](crate::render_activations) relies on this:
+    /// for repeated activations it sums a per-second table of those
+    /// values with the same operations instead of calling this method, so
+    /// an override that departs from the default is not consulted there.
     fn average_power(&self, from_secs: f64, to_secs: f64) -> f64 {
         if to_secs <= from_secs {
             return 0.0;

@@ -11,6 +11,21 @@ use timeseries::{PowerTrace, Resolution, Timestamp};
 /// activations stack, which is physically right for e.g. a two-burner
 /// cooktop modelled as repeated activations).
 ///
+/// Activations and resolutions are whole seconds, so every interval an
+/// activation covers in a sample runs from a whole second `from` to a
+/// whole second `to` after switch-on, and
+/// [`LoadModel::average_power`] over it is the mean of
+/// `power_at(n + 0.5)` for `n` in `from..to`. Repeated activations read
+/// those values from a per-second table, `p[n] = power_at(n + 0.5)`,
+/// filled once over the seconds that the two longest activations
+/// starting inside the trace both reach. A sample inside the table sums
+/// `p[from..to]` left to right from `0.0` and divides by `to - from`,
+/// exactly the default `average_power`'s operations, so every bit
+/// matches the per-slot evaluation. Seconds past the table, and a lone
+/// activation, call `average_power` as before. The table never makes
+/// more `power_at` calls than the per-slot evaluation: the second
+/// longest activation reads all of its seconds from it.
+///
 /// # Examples
 ///
 /// ```
@@ -37,11 +52,12 @@ pub fn render_activations(
     len: usize,
 ) -> PowerTrace {
     let res = resolution.as_secs() as u64;
+    let trace_start = start.as_secs();
+    let table = profile_table(model, activations, trace_start, len as u64 * res);
     let mut samples = vec![0.0; len];
     for act in activations {
         let act_start = act.start.as_secs();
         let act_end = act.end().as_secs();
-        let trace_start = start.as_secs();
         // Sample indices potentially covered by this activation.
         let first = act_start.saturating_sub(trace_start) / res;
         let last = act_end
@@ -61,19 +77,57 @@ pub fn render_activations(
             if hi <= lo {
                 continue;
             }
-            let from = (lo - act_start) as f64;
-            let to = (hi - act_start) as f64;
+            let (from, to) = (lo - act_start, hi - act_start);
+            let average = match table.get(from as usize..to as usize) {
+                Some(seconds) => seconds.iter().fold(0.0, |acc, p| acc + p) / (to - from) as f64,
+                None => model.average_power(from as f64, to as f64),
+            };
             // Average over the covered part, scaled by coverage fraction so
             // the sample stays an interval average.
-            let covered = model.average_power(from, to) * (to - from) / res as f64;
+            let covered = average * (to - from) as f64 / res as f64;
             *slot += covered;
         }
     }
     PowerTrace::new(start, resolution, samples).expect("load models produce finite power")
 }
 
+/// The per-second profile table of [`render_activations`]:
+/// `p[n] = model.power_at(n + 0.5)` for `n` below the reach of the second
+/// longest activation that starts inside the trace's `span` seconds from
+/// `trace_start`, clipped to the trace. Empty when fewer than two
+/// activations start inside it.
+fn profile_table(
+    model: &dyn LoadModel,
+    activations: &[Activation],
+    trace_start: u64,
+    span: u64,
+) -> Vec<f64> {
+    let trace_end = trace_start + span;
+    let mut longest = [0; 2];
+    for act in activations {
+        let act_start = act.start.as_secs();
+        if act_start < trace_start || act_start >= trace_end {
+            continue;
+        }
+        let reach = act.end().as_secs().min(trace_end) - act_start;
+        if reach > longest[0] {
+            longest = [reach, longest[0]];
+        } else if reach > longest[1] {
+            longest[1] = reach;
+        }
+    }
+    (0..longest[1])
+        .map(|n| model.power_at(n as f64 + 0.5))
+        .collect()
+}
+
 /// Renders a device that is on for the entire span (background loads such
 /// as refrigerators, freezers, and ventilation).
+///
+/// Sample `i` covers seconds `[i·res, (i+1)·res)` after switch-on whatever
+/// `start` is, so a shorter render is a prefix of a longer one at the same
+/// resolution. [`Appliance::render_always_on`](crate::Appliance::render_always_on)
+/// memoises renders on that basis.
 pub fn render_always_on(
     model: &dyn LoadModel,
     start: Timestamp,

@@ -30,6 +30,11 @@
 #
 # The verdicts do not change the exit status: it is non-zero only if a
 # run fails or reports a failed output check.
+#
+# Each run's perfbench output is kept in a fresh directory under TMPDIR
+# (default /tmp): PAIR-SIDE.out and PAIR-SIDE.err per run, plus the
+# collected values, runs and metrics tables. Its path is printed as the
+# last line; remove it when done.
 set -euo pipefail
 
 usage="usage: tools/perf_ab.sh [--smoke] PARENT_DIR CHANGE_DIR WORKLOAD PAIRS SECONDS"
@@ -52,7 +57,7 @@ for dir in "$parent" "$change"; do
 done
 
 out=$(mktemp -d)
-trap 'rm -rf "$out"' EXIT
+trap 'echo "perf_ab: logs in $out"' EXIT
 
 for dir in "$parent" "$change"; do
     echo "# building perfbench in $dir" >&2
